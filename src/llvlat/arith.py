@@ -87,7 +87,8 @@ def lagrangian_data(space: LLVSpace, lambda_sq, chiZ: int, lam=None,
     if space.h2.pair(lamv, lamv) != q:
         raise DomainError("representative vector has the wrong square")
     c2 = coh.c2_class(space)
-    lam2 = coh.sym2_class(space, coh._sym_outer(lamv, lamv))
+    lam_cls = coh.h2_class(space, lamv)
+    lam2 = coh.cup(lam_cls, lam_cls)
     ch2 = c * (lam2 - (q / 30) * c2)
     ch3 = (-c * t / 3) * coh.deg6_from_triple(space, lamv, lamv, lamv)
     ch4 = c * (t**2 * q**2 / 4 - q / 10)
@@ -215,8 +216,8 @@ def integral_lagrangian_class(space: LLVSpace, lam) -> tuple[coh.CohClass, Fract
     if d not in (1, 2):
         raise DomainError("divisibility must be 1 or 2")
     q = space.h2.pair(lamv, lamv)
-    raw = 5 * coh.sym2_class(space, coh._sym_outer(lamv, lamv)) \
-        - (q / 6) * coh.c2_class(space)
+    lam_cls = coh.h2_class(space, lamv)
+    raw = 5 * coh.cup(lam_cls, lam_cls) - (q / 6) * coh.c2_class(space)
     if d == 1:
         denom = Fraction(gcd(5, int(q)))
     else:

@@ -48,6 +48,8 @@ def _parse_h2(space, text: str):
     Accepts "1,3,0,..." (full coordinate list) or "2*e1+3*f1-1*d" style
     label combinations.
     """
+    if not isinstance(text, str):
+        raise ParseError(f"h2 vector must be a string, got {text!r}")
     text = text.strip()
     labels = space.h2.labels
     if "," in text or text.lstrip("+-").replace("/", "").isdigit():
@@ -86,10 +88,18 @@ def _parse_h2(space, text: str):
     return tuple(coords[lab] for lab in labels)
 
 
+def _int_field(doc, key: str, default=None) -> int:
+    """An integer field of a request document; anything else is a parse error."""
+    value = doc[key] if default is None else doc.get(key, default)
+    q = parse_q(str(value))
+    if q.denominator != 1:
+        raise ParseError(f"field {key!r} must be an integer, got {value!r}")
+    return int(q)
+
+
 def _space_from(doc) -> "make_space":
     kind = doc.get("type", "HilbK3")
-    n = int(doc.get("n", 2))
-    return make_space(kind, n)
+    return make_space(kind, _int_field(doc, "n", 2))
 
 
 def _synth_eta(space, r0: int, eta_sq: Fraction):
@@ -109,6 +119,8 @@ def _synth_eta(space, r0: int, eta_sq: Fraction):
 
 def cmd_ell(args) -> int:
     doc = json.loads(args.json)
+    if not isinstance(doc, dict):
+        raise ParseError("the object spec must be a JSON object")
     family = doc.get("family")
     if family is None:
         raise ParseError("missing field: family")
@@ -138,7 +150,7 @@ def cmd_ell(args) -> int:
             "sign_variant": _llv_out(intro.generator),
         }
     elif family == "PhiO":
-        r0 = int(doc["r0"])
+        r0 = _int_field(doc, "r0")
         h = _parse_h2(space, doc["h"])
         line, gamma_v, report = lines.ell_phiO(space, r0, h)
         out |= {
@@ -150,7 +162,7 @@ def cmd_ell(args) -> int:
             "rank": report["rank"],
         }
     elif family == "Isotropic":
-        r0 = int(doc["r0"])
+        r0 = _int_field(doc, "r0")
         h = _parse_h2(space, doc["h"])
         line, gamma_v, report = lines.ell_isotropic(space, r0, h)
         out |= {

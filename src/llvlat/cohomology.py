@@ -5,6 +5,8 @@ The monodromy-invariant presentation keeps five graded pieces:
   a0          H^0, a scalar
   a2          H^2, a vector over the 23-dimensional BBF lattice
   a4          H^4 = Sym^2 H^2 (both have dimension 276), a symmetric matrix
+              stored sparsely as a dict {(i, j): entry} of its nonzero
+              upper-triangle entries (i <= j), so equality stays canonical
   a6          H^6 = H^2 by duality, stored as the BBF-dual functional: the
               class with integral against y equal to (w, y)
   a8          a multiple of the point class
@@ -15,7 +17,10 @@ makes every entry of the standard multiplication table a theorem of the
 representation.  Degree-6 products reduce through
 x1 x2 x3 = (x1,x2) x3 + (x1,x3) x2 + (x2,x3) x1 (as dual functionals), and
 top products integrate through the quadruple formula.  Products that would
-land above degree 8 raise instead of truncating silently.
+land above degree 8 raise in ``cup`` instead of truncating silently.
+
+No code mutates a ``CohClass`` (or its ``a4`` dict) in place: ``todd_data``
+is cached and hands the same classes to every caller.
 """
 
 from __future__ import annotations
@@ -24,14 +29,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import _linalg
 from .errors import DomainError
 from .harmonic import (
     GeneratorContext,
     ReducedSymElement,
     full_context,
 )
-from .lattice import LLVSpace, LLVVector, make_space
+from .lattice import LLVSpace, LLVVector, _h2_gram_inverse, make_space
 
 Q = Fraction
 
@@ -46,12 +50,14 @@ def _require_k32(space: LLVSpace):
                           "(higher n routes through the symmetric calculus)")
 
 
-def _sym_outer(x, y):
-    """Symmetric tensor (x y^T + y x^T) / 2 representing the product x.y."""
-    k = len(x)
-    return tuple(
-        tuple((x[i] * y[j] + y[i] * x[j]) / 2 for j in range(k)) for i in range(k)
-    )
+def _lin4(*terms) -> dict:
+    """Sparse H^4 combination sum(c * a4) over (c, a4) pairs, zeros dropped."""
+    out: dict = {}
+    for c, a4 in terms:
+        if c:
+            for key, v in a4.items():
+                out[key] = out.get(key, 0) + c * v
+    return {key: v for key, v in out.items() if v}
 
 
 @dataclass(frozen=True)
@@ -59,20 +65,9 @@ class CohClass:
     space: LLVSpace
     a0: Fraction
     a2: tuple[Fraction, ...]
-    a4: tuple[tuple[Fraction, ...], ...]
+    a4: dict[tuple[int, int], Fraction]
     a6: tuple[Fraction, ...]
     a8: Fraction
-
-    def pieces(self):
-        return (self.a0, self.a2, self.a4, self.a6, self.a8)
-
-    def is_zero_piece(self, d: int) -> bool:
-        p = self.pieces()[d // 2]
-        if d in (0, 8):
-            return p == 0
-        if d in (2, 6):
-            return all(c == 0 for c in p)
-        return all(c == 0 for row in p for c in row)
 
     def __add__(self, other: "CohClass") -> "CohClass":
         _same(self, other)
@@ -80,10 +75,7 @@ class CohClass:
             self.space,
             self.a0 + other.a0,
             tuple(a + b for a, b in zip(self.a2, other.a2)),
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.a4, other.a4)
-            ),
+            _lin4((1, self.a4), (1, other.a4)),
             tuple(a + b for a, b in zip(self.a6, other.a6)),
             self.a8 + other.a8,
         )
@@ -97,7 +89,7 @@ class CohClass:
             self.space,
             c * self.a0,
             tuple(c * x for x in self.a2),
-            tuple(tuple(c * x for x in row) for row in self.a4),
+            _lin4((c, self.a4)),
             tuple(c * x for x in self.a6),
             c * self.a8,
         )
@@ -111,7 +103,9 @@ class CohClass:
         from .rational import fmt_q
 
         k = len(self.a2)
-        upper = [fmt_q(self.a4[i][j]) for i in range(k) for j in range(i, k)]
+        zero = Fraction(0)
+        upper = [fmt_q(self.a4.get((i, j), zero))
+                 for i in range(k) for j in range(i, k)]
         return {
             "a0": fmt_q(self.a0),
             "a2": [fmt_q(x) for x in self.a2],
@@ -126,44 +120,47 @@ def _same(x: CohClass, y: CohClass):
         raise DomainError("classes on different spaces")
 
 
-def zero_class(space: LLVSpace) -> CohClass:
+def _class(space: LLVSpace, a0=0, a2=None, a4=None, a6=None, a8=0) -> CohClass:
+    """A class from the given pieces; omitted pieces are zero."""
     _require_k32(space)
-    k = space.h2.rank
-    z = Fraction(0)
-    return CohClass(space, z, (z,) * k, tuple((z,) * k for _ in range(k)), (z,) * k, z)
+    zero = (Fraction(0),) * space.h2.rank
+    return CohClass(space, Fraction(a0), zero if a2 is None else space.h2.vector(a2),
+                    a4 or {}, zero if a6 is None else space.h2.vector(a6),
+                    Fraction(a8))
+
+
+def zero_class(space: LLVSpace) -> CohClass:
+    return _class(space)
 
 
 def scalar_class(space: LLVSpace, c) -> CohClass:
-    base = zero_class(space)
-    return CohClass(space, Fraction(c), base.a2, base.a4, base.a6, base.a8)
+    return _class(space, a0=c)
 
 
 def point_class(space: LLVSpace, c=1) -> CohClass:
-    base = zero_class(space)
-    return CohClass(space, base.a0, base.a2, base.a4, base.a6, Fraction(c))
+    return _class(space, a8=c)
 
 
 def h2_class(space: LLVSpace, v) -> CohClass:
-    base = zero_class(space)
-    return CohClass(space, base.a0, space.h2.vector(v), base.a4, base.a6, base.a8)
+    return _class(space, a2=v)
 
 
 def sym2_class(space: LLVSpace, m) -> CohClass:
-    base = zero_class(space)
+    """The H^4 class of a dense symmetric rank x rank matrix."""
     a4 = tuple(tuple(Fraction(x) for x in row) for row in m)
     k = space.h2.rank
     if len(a4) != k or any(len(r) != k for r in a4):
         raise DomainError("Sym^2 matrix has wrong shape")
     for i in range(k):
-        for j in range(k):
+        for j in range(i):
             if a4[i][j] != a4[j][i]:
                 raise DomainError("Sym^2 matrix must be symmetric")
-    return CohClass(space, base.a0, base.a2, a4, base.a6, base.a8)
+    return _class(space, a4={(i, j): a4[i][j] for i in range(k)
+                             for j in range(i, k) if a4[i][j]})
 
 
 def deg6_class(space: LLVSpace, w) -> CohClass:
-    base = zero_class(space)
-    return CohClass(space, base.a0, base.a2, base.a4, space.h2.vector(w), base.a8)
+    return _class(space, a6=w)
 
 
 def deg6_from_triple(space: LLVSpace, x1, x2, x3) -> CohClass:
@@ -177,94 +174,50 @@ def deg6_from_triple(space: LLVSpace, x1, x2, x3) -> CohClass:
     return deg6_class(space, w)
 
 
-@lru_cache(maxsize=8)
-def _ginv(space: LLVSpace):
-    return _linalg.inverse(_linalg.mat(space.h2.gram))
-
-
 def c2_class(space: LLVSpace) -> CohClass:
     """c2 of the tangent bundle as an explicit invariant Sym^2 tensor."""
     _require_k32(space)
-    return sym2_class(space, _linalg.mat_scale(Fraction(6, 5), _ginv(space)))
+    return Fraction(6, 5) * sym2_class(space, _h2_gram_inverse(space.h2))
 
 
 def b_invariant_class(space: LLVSpace) -> CohClass:
     """The normalized invariant b with integral of b^2 equal to 25/23."""
     _require_k32(space)
-    return sym2_class(space, _linalg.mat_scale(Fraction(1, 23), _ginv(space)))
+    return Fraction(1, 23) * sym2_class(space, _h2_gram_inverse(space.h2))
 
 
-def _contract_full(space, a4):
-    """Full Gram contraction c(A) = trace(A G)."""
+def _times_gram(space: LLVSpace, a4: dict) -> dict:
+    """The matrix A G of a sparse symmetric A, as {(i, m): entry}.
+
+    Its trace is the full contraction c(A), it maps x to the sharp A G x,
+    and trace(A G B G) is the induced pairing of A and B on Sym^2.
+    """
     g = space.h2.gram
-    k = space.h2.rank
-    return sum(a4[i][j] * g[j][i] for i in range(k) for j in range(k))
-
-
-def _sharp(space, a4, x):
-    """A-sharp of x: the vector A G x."""
-    gx = _linalg.mat_vec(_linalg.mat(space.h2.gram), x)
-    return _linalg.mat_vec(a4, gx)
-
-
-def _sym2_inner(space, a4, b4):
-    """Induced pairing on Sym^2: trace(A G B G)."""
-    g = _linalg.mat(space.h2.gram)
-    m = _linalg.mat_mul(_linalg.mat_mul(a4, g), _linalg.mat_mul(b4, g))
-    return sum(m[i][i] for i in range(len(m)))
-
-
-def cup(x: CohClass, y: CohClass) -> CohClass:
-    _same(x, y)
-    space = x.space
-    out = zero_class(space)
-    for dx in (0, 2, 4, 6, 8):
-        if x.is_zero_piece(dx):
-            continue
-        for dy in (0, 2, 4, 6, 8):
-            if y.is_zero_piece(dy):
-                continue
-            if dx + dy > 8:
-                raise DomainError(
-                    f"product of degrees {dx} and {dy} overflows degree 8"
-                )
-            out = out + _cup_pieces(x, dx, y, dy)
+    out: dict = {}
+    for (i, j), a in a4.items():
+        for r, c in ((i, j), (j, i)) if i != j else ((i, j),):
+            for m, gcm in enumerate(g[c]):
+                if gcm:
+                    out[(r, m)] = out.get((r, m), 0) + a * gcm
     return out
 
 
-def _cup_pieces(x: CohClass, dx: int, y: CohClass, dy: int) -> CohClass:
-    space = x.space
-    if dx > dy:
-        return _cup_pieces(y, dy, x, dx)
-    if dx == 0:
-        return x.a0 * _piece_class(y, dy)
-    if dx == 2 and dy == 2:
-        return sym2_class(space, _sym_outer(x.a2, y.a2))
-    if dx == 2 and dy == 4:
-        c = _contract_full(space, y.a4)
-        sharp = _sharp(space, y.a4, x.a2)
-        w = tuple(c * a + 2 * b for a, b in zip(x.a2, sharp))
-        return deg6_class(space, w)
-    if dx == 2 and dy == 6:
-        return point_class(space, space.h2.pair(x.a2, y.a6))
-    if dx == 4 and dy == 4:
-        val = _contract_full(space, x.a4) * _contract_full(space, y.a4) \
-            + 2 * _sym2_inner(space, x.a4, y.a4)
-        return point_class(space, val)
-    raise DomainError(f"product of degrees {dx} and {dy} overflows degree 8")
+def _top_degree(x: CohClass) -> int:
+    """Highest degree of a nonzero piece, or -1 for the zero class."""
+    for d, piece in ((8, x.a8), (6, any(x.a6)), (4, x.a4), (2, any(x.a2)),
+                     (0, x.a0)):
+        if piece:
+            return d
+    return -1
 
 
-def _piece_class(x: CohClass, d: int) -> CohClass:
-    space = x.space
-    if d == 0:
-        return scalar_class(space, x.a0)
-    if d == 2:
-        return h2_class(space, x.a2)
-    if d == 4:
-        return sym2_class(space, x.a4)
-    if d == 6:
-        return deg6_class(space, x.a6)
-    return point_class(space, x.a8)
+def cup(x: CohClass, y: CohClass) -> CohClass:
+    """Strict product: raises on pieces above degree 8 (formula misuse)."""
+    _same(x, y)
+    dx, dy = _top_degree(x), _top_degree(y)
+    if dx + dy > 8:
+        raise DomainError(f"product of degrees {dx} and {dy} overflows degree 8")
+    return cup_manifold(x, y)
 
 
 def cup_manifold(x: CohClass, y: CohClass) -> CohClass:
@@ -277,15 +230,32 @@ def cup_manifold(x: CohClass, y: CohClass) -> CohClass:
     """
     _same(x, y)
     space = x.space
-    out = zero_class(space)
-    for dx in (0, 2, 4, 6, 8):
-        if x.is_zero_piece(dx):
-            continue
-        for dy in (0, 2, 4, 6, 8):
-            if y.is_zero_piece(dy) or dx + dy > 8:
-                continue
-            out = out + _cup_pieces(x, dx, y, dy)
-    return out
+    pair = space.h2.pair
+    x0, x2, x4, x6, x8 = x.a0, x.a2, x.a4, x.a6, x.a8
+    y0, y2, y4, y6, y8 = y.a0, y.a2, y.a4, y.a6, y.a8
+    xg, yg = _times_gram(space, x4), _times_gram(space, y4)
+    cx = sum(v for (i, m), v in xg.items() if i == m)
+    cy = sum(v for (i, m), v in yg.items() if i == m)
+    # x2 y4 is the dual functional c(B) x + 2 B G x
+    a6 = [x0 * b + y0 * a + cy * u + cx * v
+          for a, b, u, v in zip(x6, y6, x2, y2)]
+    for (i, m), v in yg.items():
+        a6[i] += 2 * v * x2[m]
+    for (i, m), v in xg.items():
+        a6[i] += 2 * v * y2[m]
+    nz = [i for i, (u, v) in enumerate(zip(x2, y2)) if u or v]
+    sym = {(i, j): (x2[i] * y2[j] + y2[i] * x2[j]) / 2
+           for n, i in enumerate(nz) for j in nz[n:]}
+    a8 = x0 * y8 + y0 * x8 + pair(x2, y6) + pair(y2, x6) + cx * cy \
+        + 2 * sum(v * yg.get((m, i), 0) for (i, m), v in xg.items())
+    return CohClass(
+        space,
+        x0 * y0,
+        tuple(x0 * b + y0 * a for a, b in zip(x2, y2)),
+        _lin4((x0, y4), (y0, x4), (1, sym)),
+        tuple(a6),
+        a8,
+    )
 
 
 def integrate(x: CohClass) -> Fraction:
@@ -341,15 +311,13 @@ def psi(x: CohClass, ctx: GeneratorContext | None = None) -> ReducedSymElement:
     for i, c in enumerate(x.a2):
         if c:
             out = out + ReducedSymElement.monomial(ctx, (ia, 1 + i), c)
-    if not x.is_zero_piece(4):
-        for i in range(k):
-            for j in range(i, k):
-                c = x.a4[i][j] * (1 if i == j else 2)
-                if c:
-                    out = out + ReducedSymElement.monomial(ctx, (1 + i, 1 + j), c)
-        out = out + ReducedSymElement.monomial(
-            ctx, (ia, ib), _contract_full(space, x.a4)
-        )
+    if x.a4:
+        for (i, j), c in sorted(x.a4.items()):
+            out = out + ReducedSymElement.monomial(
+                ctx, (1 + i, 1 + j), c * (1 if i == j else 2))
+        contraction = sum(v for (i, m), v in _times_gram(space, x.a4).items()
+                          if i == m)
+        out = out + ReducedSymElement.monomial(ctx, (ia, ib), contraction)
     for i, c in enumerate(x.a6):
         if c:
             out = out + ReducedSymElement.monomial(ctx, (1 + i, ib), c)

@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import DomainError
-from .lattice import LLVSpace, LLVVector
+from .lattice import LLVSpace, LLVVector, _gram_full_inverse
 from .rational import nth_root_rational
 
 Key = tuple[int, tuple[int, ...]]  # (qt exponent, sorted generator indices)
@@ -371,15 +371,13 @@ def qtilde_full_expansion(ctx: GeneratorContext) -> ReducedSymElement:
     Valid when ctx.gens is exactly (alpha, h2 basis vectors..., beta); qt is
     then (1/N) times the dual metric tensor of the full space.
     """
-    from . import _linalg
-
     space = ctx.space
     expected = (space.alpha(),) + tuple(
         space.h2_basis_vector(i) for i in range(space.h2.rank)
     ) + (space.beta(),)
     if ctx.gens != expected:
         raise DomainError("qtilde expansion needs the standard full basis context")
-    ginv = _linalg.inverse(space.gram_full())
+    ginv = _gram_full_inverse(space)
     n_amb = space.dim
     terms: dict[Key, Fraction] = {}
     for i in range(n_amb):

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import _linalg
 from .errors import DomainError
-from .lattice import LLVSpace, LLVVector, make_space
+from .lattice import LLVSpace, LLVVector, _gram_full_inverse, make_space
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,9 @@ class Isometry:
 
     def inverse(self) -> "Isometry":
         g = self.space.gram_full()
-        ginv = _linalg.inverse(g)
         mt = _linalg.transpose(self.m)
-        return Isometry(self.space, _linalg.mat_mul(ginv, _linalg.mat_mul(mt, g)))
+        return Isometry(self.space, _linalg.mat_mul(_gram_full_inverse(self.space),
+                                                    _linalg.mat_mul(mt, g)))
 
     def det(self) -> int:
         d = _linalg.det(self.m)

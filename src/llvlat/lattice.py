@@ -318,21 +318,32 @@ class LLVSpace:
         )
 
 
+def _bordered(block) -> _linalg.Matrix:
+    """Full-space matrix with an H^2 block and the alpha, beta corner.
+
+    The corner [[0, -1], [-1, 0]] is its own inverse, so bordering the
+    inverse H^2 Gram gives the inverse of the full Gram.
+    """
+    z, m = Fraction(0), Fraction(-1)
+    edge = (z,) * len(block)
+    return ((z,) + edge + (m,),) \
+        + tuple((z,) + tuple(Fraction(x) for x in row) + (z,) for row in block) \
+        + ((m,) + edge + (z,),)
+
+
 @lru_cache(maxsize=32)
 def _gram_full_cached(space: "LLVSpace") -> _linalg.Matrix:
-    k = space.h2.rank
-    rows = []
-    for i in range(space.dim):
-        row = []
-        for j in range(space.dim):
-            if 1 <= i <= k and 1 <= j <= k:
-                row.append(Fraction(space.h2.gram[i - 1][j - 1]))
-            elif {i, j} == {0, k + 1}:
-                row.append(Fraction(-1))
-            else:
-                row.append(Fraction(0))
-        rows.append(tuple(row))
-    return tuple(rows)
+    return _bordered(space.h2.gram)
+
+
+@lru_cache(maxsize=32)
+def _h2_gram_inverse(lattice: QuadLattice) -> _linalg.Matrix:
+    """Exact inverse of the H^2 Gram; the only matrix inverse cached here."""
+    return _linalg.inverse(_linalg.mat(lattice.gram))
+
+
+def _gram_full_inverse(space: "LLVSpace") -> _linalg.Matrix:
+    return _bordered(_h2_gram_inverse(space.h2))
 
 
 def make_space(preset: str, n: int = 1) -> LLVSpace:

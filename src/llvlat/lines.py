@@ -201,10 +201,11 @@ def chern_phiO(space: LLVSpace, r0: int, h):
     hv = space.h2.vector(h)
     h_sq = space.h2.pair(hv, hv)
     c2 = coh.c2_class(space)
-    hh = coh.sym2_class(space, coh._sym_outer(hv, hv))
+    h_cls = coh.h2_class(space, hv)
+    hh = coh.cup(h_cls, h_cls)
     ch2 = Fraction(1, 2 * r0**2) * hh + Fraction(1 - r0**2, 24) * c2
     h3 = coh.deg6_from_triple(space, hv, hv, hv)
-    hc2 = coh.cup(coh.h2_class(space, hv), c2)
+    hc2 = coh.cup(h_cls, c2)
     ch3 = Fraction(1, 6 * r0**4) * h3 + Fraction(1 - r0**2, 24 * r0**2) * hc2
     ch4 = Fraction(
         4 * h_sq**2 + 20 * r0**2 * (1 - r0**2) * h_sq
@@ -310,10 +311,11 @@ def chern_isotropic_k32(space: LLVSpace, r0: int, h):
     hv = space.h2.vector(h)
     h_sq = space.h2.pair(hv, hv)
     c2 = coh.c2_class(space)
-    hh = coh.sym2_class(space, coh._sym_outer(hv, hv))
+    h_cls = coh.h2_class(space, hv)
+    hh = coh.cup(h_cls, h_cls)
     ch2 = Fraction(1, 4 * r0**2) * hh - Fraction(r0**2, 12) * c2
     h3 = coh.deg6_from_triple(space, hv, hv, hv)
-    hc2 = coh.cup(coh.h2_class(space, hv), c2)
+    hc2 = coh.cup(h_cls, c2)
     ch3 = Fraction(1, 24 * r0**4) * h3 - Fraction(1, 24) * hc2
     ch4 = Fraction(h_sq**2, 64 * r0**6) - Fraction(5 * h_sq, 16 * r0**2) \
         + Fraction(21 * r0**2, 16)

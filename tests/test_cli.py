@@ -1,6 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from llvlat.cli import main
 
@@ -76,6 +79,13 @@ def test_ell_parse_error_exit3(capsys):
     assert "family" in err
     code, _, err = run_cli(["ell", "--json", "not json"], capsys)
     assert code == 3
+    # well-formed JSON of the wrong shape or with malformed fields
+    for spec in ('[]',
+                 '{"family":"StructureSheaf","n":"x"}',
+                 '{"family":"PhiO","r0":"1.5","h":"e1"}'):
+        code, _, err = run_cli(["ell", "--json", spec], capsys)
+        assert code == 3, spec
+        assert err.startswith("parse error:"), spec
 
 
 def test_chern_phiO(capsys):
@@ -158,6 +168,36 @@ def test_determinism_byte_identical(capsys):
     _, out1, _ = run_cli(args, capsys)
     _, out2, _ = run_cli(args, capsys)
     assert out1 == out2
+
+
+# stdout digests and exit codes frozen from a known-good build; any change
+# to the exact output of these commands fails here
+FROZEN_CLI = [
+    (["verify", "--json"], 0,
+     "034892ec6af80e39e09e6743b1be1a4edcc29aa40b370caff3402e3b41185cd4"),
+    (["monodromy", "--ek", "1"], 0,
+     "fed13a73d3aef7b0703572a552b28c10cb54623cbb704c39cbb0cc189368a042"),
+    (["monodromy", "--ek", "2"], 0,
+     "713df98f727a7f466d5e82899e446696b36f8f98236fbd438428fd2f34696a2f"),
+    (["monodromy", "--ek", "3"], 0,
+     "fb4e299cb26ff5bf2e802b92f832015949b93460ad7d2e8d290abdf8d9a1d14f"),
+    # eta_sq = 30/9 is not an even integer: exit 2 and empty stdout
+    (["chern", "--family", "phiO", "--r0", "3", "--h-sq", "30"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["chern", "--family", "phiO", "--r0", "3", "--h-sq", "18"], 0,
+     "ed47b68b0ff578b4da5cdb82b9d9b1c0b2592e57eb7f977b5a2da0e13fe4c745"),
+    (["chern", "--family", "lagrangian", "--lambda-sq", "6",
+      "--chi-z", "27"], 0,
+     "e7f1332dd62a6950be8a71a4037efb5faa809d595e289a69989e5af667a24733"),
+]
+
+
+@pytest.mark.parametrize("args, code, digest", FROZEN_CLI,
+                         ids=[" ".join(a) for a, _, _ in FROZEN_CLI])
+def test_frozen_cli_output(args, code, digest, capsys):
+    got_code, out, _ = run_cli(args, capsys)
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_bad_usage_exit3(capsys):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from llvlat import DomainError, make_space
 from llvlat import cohomology as coh
@@ -11,6 +12,7 @@ from llvlat.harmonic import (
     expand_qtilde,
     full_context,
 )
+from oracle_dense_ring import DenseRing, densify
 
 
 @pytest.fixture(scope="module")
@@ -189,3 +191,110 @@ def test_serialization(sp):
     d = coh.point_class(sp, Q(5, 2)).to_dict()
     assert d["a8"] == "5/2"
     assert d["a0"] == "0"
+
+
+# --- sparse ring against the dense piece-by-piece oracle
+
+_SP = make_space("HilbK3", 2)
+_ORACLE = DenseRing(_SP)
+_K = _SP.h2.rank
+
+_q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_nonzero_q = _q.filter(bool)
+_sparse_vec = st.lists(st.tuples(st.integers(0, _K - 1), _q), min_size=1,
+                       max_size=4)
+_a4_term = st.one_of(
+    st.tuples(st.just("c2"), _nonzero_q),
+    st.tuples(st.just("b"), _nonzero_q),
+    st.tuples(st.just("outer"), _nonzero_q, _sparse_vec, _sparse_vec),
+    st.tuples(st.just("entries"),
+              st.lists(st.tuples(st.integers(0, _K - 1),
+                                 st.integers(0, _K - 1), _q), max_size=12)),
+    st.tuples(st.just("full"), st.integers(0, 2**32)),
+)
+_spec = st.tuples(
+    st.one_of(st.just(0), _q),
+    st.one_of(st.none(), _sparse_vec),
+    st.lists(_a4_term, max_size=2),
+    st.one_of(st.none(), _sparse_vec),
+    st.one_of(st.just(0), _q),
+)
+
+
+def _vec(entries):
+    v = [Q(0)] * _K
+    for i, c in entries or ():
+        v[i] += c
+    return v
+
+
+def _build(spec):
+    """The class of a spec through the public constructors, its dense twin
+    built by the oracle, and its H^4 and H^6 parts (sparse, dense)."""
+    a0, a2, a4_terms, a6, a8 = spec
+    ch2, ch2_d = coh.zero_class(_SP), _ORACLE.zero()
+    for term in a4_terms:
+        if term[0] in ("c2", "b"):
+            t = term[1] * (coh.c2_class(_SP) if term[0] == "c2"
+                           else coh.b_invariant_class(_SP))
+            t_d = _ORACLE.scale(term[1], getattr(_ORACLE, term[0]))
+        elif term[0] == "outer":
+            u, v = _vec(term[2]), _vec(term[3])
+            t = term[1] * coh.cup(coh.h2_class(_SP, u), coh.h2_class(_SP, v))
+            t_d = _ORACLE.scale(term[1], _ORACLE.cup(
+                _ORACLE.h2(u), _ORACLE.h2(v)))
+        else:
+            m = [[Q(0)] * _K for _ in range(_K)]
+            if term[0] == "entries":
+                cells = term[1]
+            else:
+                rng = random.Random(term[1])
+                cells = [(i, j, Q(rng.randint(-3, 3)))
+                         for i in range(_K) for j in range(i, _K)]
+            for i, j, c in cells:
+                m[i][j] += c
+                if i != j:
+                    m[j][i] += c
+            t, t_d = coh.sym2_class(_SP, m), _ORACLE.sym2(m)
+        ch2, ch2_d = ch2 + t, _ORACLE.add(ch2_d, t_d)
+    ch3, ch3_d = coh.deg6_class(_SP, _vec(a6)), _ORACLE.deg6(_vec(a6))
+    x = coh.scalar_class(_SP, a0) + coh.h2_class(_SP, _vec(a2)) + ch2 + ch3 \
+        + coh.point_class(_SP, a8)
+    x_d = _ORACLE.add(
+        _ORACLE.add(_ORACLE.add(_ORACLE.scalar(a0), _ORACLE.h2(_vec(a2))), ch2_d),
+        _ORACLE.add(ch3_d, _ORACLE.point(a8)))
+    return x, x_d, ch2, ch2_d, ch3, ch3_d
+
+
+def _check_cup(x, y, x_d, y_d):
+    try:
+        want = _ORACLE.cup(x_d, y_d)
+    except DomainError:
+        with pytest.raises(DomainError):
+            coh.cup(x, y)
+    else:
+        assert densify(coh.cup(x, y)) == want
+
+
+# 100 pairs: 200 random classes, plus the degree <= 4 part of each first one
+@settings(max_examples=100, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(_spec, _spec)
+def test_ring_matches_dense_oracle(spec_x, spec_y):
+    x, x_d, ch2, ch2_d, ch3, ch3_d = _build(spec_x)
+    y, y_d = _build(spec_y)[:2]
+    assert densify(x) == x_d
+    assert x.to_dict() == _ORACLE.to_dict(x_d)
+    fc = full_context(_SP)
+    assert coh.psi(x, fc).terms == _ORACLE.psi(x_d, fc).terms
+    assert coh.chi(_SP, x) == _ORACLE.chi(x_d)
+    v = coh.mukai_vector(_SP, x.a0, x.a2, ch2, ch3, x.a8)
+    assert densify(v) == _ORACLE.mukai_vector(x.a0, x.a2, ch2_d, ch3_d, x.a8)
+    assert densify(coh.cup_manifold(x, y)) == _ORACLE.cup(x_d, y_d, strict=False)
+    _check_cup(x, y, x_d, y_d)
+    # the degree <= 4 parts never overflow, so the strict product runs too
+    low = coh.scalar_class(_SP, x.a0) + coh.h2_class(_SP, x.a2) + ch2
+    low_d = _ORACLE.add(_ORACLE.add(_ORACLE.scalar(x.a0), _ORACLE.h2(x.a2)), ch2_d)
+    _check_cup(low, y, low_d, y_d)
+    _check_cup(low, low, low_d, low_d)
