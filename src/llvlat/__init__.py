@@ -11,12 +11,14 @@ floating point is used anywhere.
 """
 
 from .errors import (
+    CertificateError,
     DomainError,
     InadmissibleError,
     InconclusiveError,
     LLVError,
     NotRealizableError,
     ParseError,
+    certify,
 )
 from .lattice import (
     LLVSpace,

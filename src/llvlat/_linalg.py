@@ -1,15 +1,20 @@
-"""Small exact linear algebra over Fraction.
+"""Small exact linear algebra over Fraction and over the integers.
 
 Dense tuple-of-tuples matrices; every space in the toolkit has dimension
-at most 25, so nothing clever is needed.  All routines are pure.
+at most 25, so nothing clever is needed.  The integer routines serve
+matrices stored as a numerator matrix over one common denominator.  All
+routines are pure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
+IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def mat(rows) -> Matrix:
@@ -150,3 +155,44 @@ def signature(gram: Matrix) -> tuple[int, int, int]:
                 for c in range(n):
                     a[c][r] -= f * a[c][k]
     return pos, neg, zero
+
+
+def to_int(values) -> tuple[list[int], int]:
+    """Numerators over the least common denominator: values = ints / den."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def to_int_matrix(a) -> tuple[IntMatrix, int]:
+    """A rational matrix as (integer matrix, least common denominator)."""
+    flat, den = to_int([x for row in a for x in row])
+    n = len(a[0])
+    return tuple(tuple(flat[i:i + n]) for i in range(0, len(flat), n)), den
+
+
+def int_mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def int_det(a: IntMatrix) -> int:
+    """Determinant by fraction-free (Bareiss) elimination.
+
+    Each step replaces the trailing block by (p x - r0 y) / prev, which
+    is exact: every entry is a minor of the input.
+    """
+    rows = [list(r) for r in a]
+    sign, prev = 1, 1
+    while len(rows) > 1:
+        piv = next((i for i, r in enumerate(rows) if r[0]), None)
+        if piv is None:
+            return 0
+        if piv:
+            rows[0], rows[piv] = rows[piv], rows[0]
+            sign = -sign
+        head = rows[0]
+        p, rest = head[0], head[1:]
+        rows = [[(p * x - r[0] * y) // prev for x, y in zip(r[1:], rest)]
+                for r in rows[1:]]
+        prev = p
+    return sign * rows[0][0]

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import arith, golden, lines, monodromy as mono
-from .errors import DomainError, ParseError
+from .errors import CertificateError, DomainError, ParseError
 from .lattice import (
     LLVVector,
     div_in_lambda,
@@ -193,6 +193,8 @@ def cmd_chern(args) -> int:
     space = make_space("HilbK3", 2)
     if args.family == "phiO":
         r0 = args.r0
+        if r0 < 1:
+            raise DomainError("r0 must be a positive integer")
         if args.h is not None:
             h = _parse_h2(space, args.h)
         elif args.h_sq is not None:
@@ -226,6 +228,11 @@ def cmd_chern(args) -> int:
         })
         return EXIT_OK
     if args.family == "lagrangian":
+        missing = [flag for flag, value in (("--lambda-sq", args.lambda_sq),
+                                            ("--chi-z", args.chi_z))
+                   if value is None]
+        if missing:
+            raise ParseError(f"lagrangian needs {' and '.join(missing)}")
         data, _ = arith.lagrangian_data(space, parse_q(args.lambda_sq),
                                         args.chi_z)
         _emit({
@@ -401,6 +408,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except CertificateError as exc:
+        print(f"verification error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -19,8 +19,8 @@ x1 x2 x3 = (x1,x2) x3 + (x1,x3) x2 + (x2,x3) x1 (as dual functionals), and
 top products integrate through the quadruple formula.  Products that would
 land above degree 8 raise in ``cup`` instead of truncating silently.
 
-No code mutates a ``CohClass`` (or its ``a4`` dict) in place: ``todd_data``
-is cached and hands the same classes to every caller.
+No code mutates a ``CohClass`` (or its ``a4`` dict) in place: ``c2_class``
+and ``todd_data`` are cached and hand the same classes to every caller.
 """
 
 from __future__ import annotations
@@ -174,6 +174,7 @@ def deg6_from_triple(space: LLVSpace, x1, x2, x3) -> CohClass:
     return deg6_class(space, w)
 
 
+@lru_cache(maxsize=8)
 def c2_class(space: LLVSpace) -> CohClass:
     """c2 of the tangent bundle as an explicit invariant Sym^2 tensor."""
     _require_k32(space)

@@ -3,6 +3,9 @@
 DomainError covers mathematically meaningful rejections (failed congruence,
 inadmissible invariants, lemma hypotheses not met).  ParseError covers
 malformed CLI input.  The CLI maps them to exit codes 2 and 3.
+CertificateError marks an exact check that failed inside the toolkit (a
+bug, not bad input); ``certify`` raises it, and unlike ``assert`` it still
+runs under ``python -O``.  The CLI maps it to exit code 1.
 """
 
 
@@ -37,3 +40,13 @@ class InconclusiveError(DomainError):
 
 class ParseError(LLVError):
     """Malformed request document or CLI argument."""
+
+
+class CertificateError(LLVError):
+    """An exact identity the toolkit certifies did not hold."""
+
+
+def certify(cond, what: str) -> None:
+    """Raise CertificateError naming ``what`` unless ``cond`` holds."""
+    if not cond:
+        raise CertificateError(f"certificate failed: {what}")

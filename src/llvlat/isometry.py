@@ -1,23 +1,37 @@
 """Isometries of the extended LLV space.
 
-Isometries are stored as dense rational matrices in the basis order
-(alpha, h2 basis..., beta); construction checks Gram compatibility
-M^T G M = G exactly, so an Isometry is correct by construction.
+An isometry M is stored as an integer matrix N over a positive integer
+denominator d, M = N / d, in the basis order (alpha, h2 basis..., beta),
+normalised so that gcd(N, d) = 1; equal isometries therefore have equal
+(N, d).  The rational matrix ``m`` is built from them on first use.
 
-Provided generators: unipotent B_lambda = exp(e_lambda), hyperplane
-reflections, the duality involution D (negation of the H^2 part), and the
-extension of a K3 Mukai-lattice isometry to the Hilbert-scheme space fixing
-the exceptional class delta.  An exact orientation sign with respect to a
-fixed positive 4-frame is exposed alongside the determinant.
+Construction checks Gram compatibility exactly, as N^T G N = d^2 G over
+the integers: G N walks the cached nonzero Gram entries (53 of 625
+on a Hilbert-scheme space) and, the product being symmetric, only its
+upper triangle is compared.  So an Isometry is correct by construction.
+Composition multiplies numerators and denominators, and the determinant
+is a fraction-free elimination on N.
+
+Provided generators, each written down in closed form: unipotent B_lambda
+= exp(e_lambda) (identity plus one column and one row), hyperplane
+reflections (a rank-one update), the duality involution D (negation of the
+H^2 part), and the extension of a K3 Mukai-lattice isometry to the
+Hilbert-scheme space fixing the exceptional class delta.  An exact
+orientation sign with respect to a fixed positive 4-frame is exposed
+alongside the determinant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from itertools import chain
+from math import gcd
+from operator import mul
 
 from . import _linalg
-from .errors import DomainError
+from .errors import DomainError, certify
 from .lattice import LLVSpace, LLVVector, _gram_full_inverse, make_space
 
 
@@ -35,37 +49,90 @@ class Endo:
         return Endo(self.space, _linalg.mat_mul(self.m, other.m))
 
 
-@dataclass(frozen=True)
-class Isometry:
-    space: LLVSpace
-    m: _linalg.Matrix
+@lru_cache(maxsize=32)
+def _int_gram(space: LLVSpace):
+    """The full Gram as integer rows, and its nonzero entries (i, j, g)."""
+    rows = tuple(tuple(int(x) for x in row) for row in space.gram_full())
+    nonzeros = tuple((i, j, g) for i, row in enumerate(rows)
+                     for j, g in enumerate(row) if g)
+    return rows, nonzeros
 
-    def __post_init__(self):
-        g = self.space.gram_full()
-        mt = _linalg.transpose(self.m)
-        if _linalg.mat_mul(mt, _linalg.mat_mul(g, self.m)) != g:
+
+def _preserves_gram(space: LLVSpace, num: _linalg.IntMatrix, den: int) -> bool:
+    """N^T G N == d^2 G, comparing the upper triangle of the symmetric product."""
+    rows, nonzeros = _int_gram(space)
+    gn = [(0,) * space.dim] * space.dim
+    for i, j, g in nonzeros:
+        gn[i] = [a + g * x for a, x in zip(gn[i], num[j])]
+    gn_cols = tuple(zip(*gn))
+    d2 = den * den
+    for a, col in enumerate(zip(*num)):
+        if [sum(map(mul, col, c)) for c in gn_cols[a:]] \
+                != [d2 * g for g in rows[a][a:]]:
+            return False
+    return True
+
+
+@dataclass(frozen=True, init=False)
+class Isometry:
+    """The isometry num/den; ``Isometry(space, m)`` takes a rational matrix."""
+
+    space: LLVSpace
+    num: _linalg.IntMatrix
+    den: int
+
+    def __init__(self, space: LLVSpace, m):
+        if len(m) != space.dim or any(len(row) != space.dim for row in m):
+            raise DomainError(f"matrix must be {space.dim} x {space.dim}")
+        self._build(space, *_linalg.to_int_matrix(m))
+
+    def _build(self, space: LLVSpace, num, den: int) -> None:
+        g = gcd(den, *chain.from_iterable(num))
+        if den < 0:
+            g = -g
+        if g == 1:
+            num = tuple(map(tuple, num))
+        else:
+            num = tuple(tuple(x // g for x in row) for row in num)
+            den //= g
+        if not _preserves_gram(space, num, den):
             raise DomainError("matrix does not preserve the pairing")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @cached_property
+    def m(self) -> _linalg.Matrix:
+        # one Fraction per distinct entry: most entries repeat (0, +-d, ...)
+        q = {x: Fraction(x, self.den) for x in set(chain.from_iterable(self.num))}
+        return tuple(tuple(map(q.__getitem__, row)) for row in self.num)
 
     def apply(self, x: LLVVector) -> LLVVector:
-        return LLVVector.from_coords(_linalg.mat_vec(self.m, x.coords()))
+        c, a = _linalg.to_int(x.coords())
+        den = self.den * a
+        out = [Fraction(sum(map(mul, row, c)), den) for row in self.num]
+        return LLVVector(out[0], tuple(out[1:-1]), out[-1])
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other."""
-        return Isometry(self.space, _linalg.mat_mul(self.m, other.m))
+        return _isometry(self.space, _linalg.int_mat_mul(self.num, other.num),
+                         self.den * other.den)
 
     def inverse(self) -> "Isometry":
-        g = self.space.gram_full()
-        mt = _linalg.transpose(self.m)
-        return Isometry(self.space, _linalg.mat_mul(_gram_full_inverse(self.space),
-                                                    _linalg.mat_mul(mt, g)))
+        """G^-1 M^T G."""
+        ginv, e = _linalg.to_int_matrix(_gram_full_inverse(self.space))
+        mtg = _linalg.int_mat_mul(tuple(zip(*self.num)), _int_gram(self.space)[0])
+        return _isometry(self.space, _linalg.int_mat_mul(ginv, mtg), e * self.den)
 
     def det(self) -> int:
-        d = _linalg.det(self.m)
-        assert d in (1, -1)
-        return int(d)
+        d = _linalg.int_det(self.num)
+        unit = self.den ** self.space.dim
+        certify(d in (unit, -unit), "an isometry has determinant +-1")
+        return 1 if d > 0 else -1
 
     def __neg__(self) -> "Isometry":
-        return Isometry(self.space, _linalg.mat_scale(-1, self.m))
+        return _isometry(self.space, tuple(tuple(-x for x in row) for row in self.num),
+                         self.den)
 
     def to_rows(self) -> list[list[str]]:
         from .rational import fmt_q
@@ -78,65 +145,81 @@ class Isometry:
         return {"matrix": self.to_rows(), "gram_compatible": True}
 
 
+def _isometry(space: LLVSpace, num, den: int) -> Isometry:
+    """The isometry num/den (any nonzero den), normalised and Gram-checked."""
+    g = Isometry.__new__(Isometry)
+    g._build(space, num, den)
+    return g
+
+
+def _scaled_identity(dim: int, d: int) -> list[list[int]]:
+    return [[d if i == j else 0 for j in range(dim)] for i in range(dim)]
+
+
 def isometry_from_rows(space: LLVSpace, rows) -> Isometry:
     """Parse a row-major matrix of "p/q" strings; validates on construction."""
     from .rational import parse_q
 
-    m = tuple(tuple(parse_q(str(x)) for x in row) for row in rows)
-    if len(m) != space.dim or any(len(r) != space.dim for r in m):
-        raise DomainError(f"matrix must be {space.dim} x {space.dim}")
-    return Isometry(space, m)
+    return Isometry(space, tuple(tuple(parse_q(str(x)) for x in row) for row in rows))
 
 
 def identity_isometry(space: LLVSpace) -> Isometry:
-    return Isometry(space, _linalg.identity(space.dim))
-
-
-def _columns_to_matrix(cols):
-    return _linalg.transpose(_linalg.mat(cols))
-
-
-def _matrix_from_action(space: LLVSpace, act) -> _linalg.Matrix:
-    cols = []
-    for i in range(space.dim):
-        basis = LLVVector.from_coords(
-            tuple(Fraction(1 if j == i else 0) for j in range(space.dim))
-        )
-        cols.append(act(basis).coords())
-    return _columns_to_matrix(cols)
+    return _isometry(space, _scaled_identity(space.dim, 1), 1)
 
 
 def e_lambda(space: LLVSpace, lam) -> Endo:
     """The nilpotent operator with alpha -> lam, mu -> (lam, mu) beta, beta -> 0."""
     lam = space.h2.vector(lam)
-    return Endo(space, _matrix_from_action(space, lambda x: space.e_lambda_apply(lam, x)))
+    k = space.h2.rank
+    rows = [[Fraction(0)] * space.dim for _ in range(space.dim)]
+    for i, (c, p) in enumerate(zip(lam, space.h2.gram_vec(lam))):
+        rows[1 + i][0] = c
+        rows[k + 1][1 + i] = Fraction(p)
+    return Endo(space, tuple(map(tuple, rows)))
 
 
 def b_lambda(space: LLVSpace, lam) -> Isometry:
-    """exp(e_lambda) = 1 + e + e^2/2, a determinant-one isometry."""
-    lam = space.h2.vector(lam)
-    return Isometry(space, _matrix_from_action(space, lambda x: space.b_lambda_apply(lam, x)))
+    """exp(e_lambda) = 1 + e + e^2/2, a determinant-one isometry.
+
+    alpha -> alpha + lam + (lam, lam)/2 beta and mu -> mu + (lam, mu) beta:
+    the identity plus the lam column under alpha and the row of pairings
+    (lam, -) next to beta.
+    """
+    # with lam = c / a the matrix is N / (2 a^2)
+    c, a = _linalg.to_int(space.h2.vector(lam))
+    gc = space.h2.gram_vec(c)
+    k = space.h2.rank
+    rows = _scaled_identity(space.dim, 2 * a * a)
+    for i in range(k):
+        rows[1 + i][0] = 2 * a * c[i]
+        rows[k + 1][1 + i] = 2 * a * gc[i]
+    rows[k + 1][0] = sum(map(mul, c, gc))
+    return _isometry(space, rows, 2 * a * a)
 
 
 def reflection(space: LLVSpace, u: LLVVector) -> Isometry:
-    """Reflection in the hyperplane orthogonal to a non-isotropic u."""
-    uu = space.pair(u, u)
-    if uu == 0:
+    """Reflection in the hyperplane orthogonal to a non-isotropic u.
+
+    With u scaled to an integer vector c, the matrix is the rank-one update
+    ((c, c) I - 2 c (G c)^T) / (c, c).
+    """
+    c, _ = _linalg.to_int(u.coords())
+    gc = space.gram_vec(c)
+    cc = sum(map(mul, c, gc))
+    if cc == 0:
         raise DomainError("cannot reflect in an isotropic vector")
-
-    def act(x):
-        return x - (2 * space.pair(x, u) / uu) * u
-
-    return Isometry(space, _matrix_from_action(space, act))
+    rows = _scaled_identity(space.dim, cc)
+    for i, ci in enumerate(c):
+        if ci:
+            rows[i] = [x - 2 * ci * g for x, g in zip(rows[i], gc)]
+    return _isometry(space, rows, cc)
 
 
 def duality_D(space: LLVSpace) -> Isometry:
     """The involution r alpha + v + s beta -> r alpha - v + s beta."""
-
-    def act(x):
-        return LLVVector(x.r, tuple(-c for c in x.v), x.s)
-
-    return Isometry(space, _matrix_from_action(space, act))
+    rows = _scaled_identity(space.dim, -1)
+    rows[0][0] = rows[-1][-1] = 1
+    return _isometry(space, rows, 1)
 
 
 def eta_extend(g: Isometry, n: int) -> Isometry:
@@ -146,31 +229,16 @@ def eta_extend(g: Isometry, n: int) -> Isometry:
     orthogonal complement of delta (the first 22 coordinates, since the
     basis order makes that embedding the coordinate inclusion).  The
     extension acts through g there, fixes alpha and beta accordingly, and
-    fixes delta.
+    fixes delta: the matrix of g with a delta row and column inserted
+    before beta.
     """
     if g.space.dtype != "K3":
         raise DomainError("eta_extend expects an isometry of the K3 space")
     target = make_space("HilbK3", n)
-    k = g.space.h2.rank  # 22
-    dim_t = target.dim  # 25
-
-    def embed(x: LLVVector) -> LLVVector:
-        return LLVVector.make(x.r, x.v + (0,) * (target.h2.rank - k), x.s)
-
-    cols = []
-    for i in range(dim_t):
-        if i == 0:
-            src = LLVVector.make(1, (0,) * k, 0)
-            cols.append(embed(g.apply(src)).coords())
-        elif 1 <= i <= k:
-            src = LLVVector.make(0, tuple(1 if j == i - 1 else 0 for j in range(k)), 0)
-            cols.append(embed(g.apply(src)).coords())
-        elif i == k + 1:  # delta stays put
-            cols.append(tuple(Fraction(1 if j == i else 0) for j in range(dim_t)))
-        else:  # beta
-            src = LLVVector.make(0, (0,) * k, 1)
-            cols.append(embed(g.apply(src)).coords())
-    return Isometry(target, _columns_to_matrix(cols))
+    k = g.space.h2.rank + 1  # index of delta in the target
+    rows = [row[:k] + (0,) + row[k:] for row in g.num]
+    rows.insert(k, (0,) * k + (g.den, 0))
+    return _isometry(target, rows, g.den)
 
 
 def det_and_orientation(g: Isometry) -> tuple[int, int]:
@@ -199,5 +267,5 @@ def det_and_orientation(g: Isometry) -> tuple[int, int]:
         [[space.pair(g.apply(w), w2) for w2 in frame] for w in frame]
     )
     d = _linalg.det(gram)
-    assert d != 0
+    certify(d != 0, "an isometry keeps the positive frame nondegenerate")
     return g.det(), (1 if d > 0 else -1)

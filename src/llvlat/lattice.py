@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from . import _linalg
-from .errors import DomainError, InconclusiveError
+from .errors import DomainError, InconclusiveError, certify
 
 Q = Fraction
 
@@ -70,20 +70,28 @@ class QuadLattice:
     def rank(self) -> int:
         return len(self.gram)
 
+    @cached_property
+    def nonzeros(self) -> tuple[tuple[int, int, int], ...]:
+        """(i, j, g_ij) for the nonzero Gram entries, row by row."""
+        return tuple((i, j, g) for i, row in enumerate(self.gram)
+                     for j, g in enumerate(row) if g)
+
     def pair(self, x, y) -> Fraction:
-        x, y = self.vector(x), self.vector(y)
-        g = self.gram
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                row = g[i]
-                for j, yj in enumerate(y):
-                    if yj and row[j]:
-                        total += xi * row[j] * yj
-        return total
+        # over the integers: x = xs / a and y = ys / b
+        xs, a = _linalg.to_int(self.vector(x))
+        ys, b = _linalg.to_int(self.vector(y))
+        return Fraction(sum(g * xs[i] * ys[j] for i, j, g in self.nonzeros), a * b)
+
+    def gram_vec(self, x) -> tuple:
+        """G x, the pairings of x with the basis: ints when x is integral."""
+        xs, a = _linalg.to_int(x)
+        out = [0] * self.rank
+        for i, j, g in self.nonzeros:
+            out[i] += g * xs[j]
+        return tuple(out) if a == 1 else tuple(Fraction(c, a) for c in out)
 
     def vector(self, x) -> tuple[Fraction, ...]:
-        v = tuple(Fraction(c) for c in x)
+        v = tuple(c if type(c) is Fraction else Fraction(c) for c in x)
         if len(v) != self.rank:
             raise DomainError(
                 f"vector of length {len(v)} in rank {self.rank} lattice"
@@ -103,11 +111,7 @@ class QuadLattice:
             raise DomainError("divisibility is defined for integral vectors only")
         if all(c == 0 for c in v):
             raise DomainError("divisibility of the zero vector")
-        pairings = [int(self.pair(v, self.basis_vector(i))) for i in range(self.rank)]
-        d = 0
-        for p in pairings:
-            d = gcd(d, p)
-        return d
+        return gcd(*(int(p) for p in self.gram_vec(v)))
 
     def is_primitive(self, x) -> bool:
         v = self.vector(x)
@@ -281,6 +285,10 @@ class LLVSpace:
             raise DomainError("dimension mismatch")
         return self.h2.pair(x.v, y.v) - x.r * y.s - y.r * x.s
 
+    def gram_vec(self, coords) -> tuple:
+        """G x for full-space coordinates (alpha, h2..., beta), sparsely."""
+        return (-coords[-1],) + self.h2.gram_vec(coords[1:-1]) + (-coords[0],)
+
     def gram_full(self) -> _linalg.Matrix:
         """Gram matrix of the full space in basis order (alpha, h2, beta)."""
         return _gram_full_cached(self)
@@ -387,15 +395,10 @@ def div_in_lambda(space: LLVSpace, x: LLVVector) -> int:
         raise DomainError("vector is not in the integral LLV lattice")
     if x.is_zero():
         raise DomainError("divisibility of the zero vector")
-    w = _b_half_delta(space, x, +1)
-    pairings = [-w.s, -w.r]
-    pairings += [space.h2.pair(w.v, space.h2.basis_vector(i))
-                 for i in range(space.h2.rank)]
-    d = 0
-    for p in pairings:
-        assert Fraction(p).denominator == 1
-        d = gcd(d, int(p))
-    return d
+    pairings = space.gram_vec(_b_half_delta(space, x, +1).coords())
+    certify(all(p.denominator == 1 for p in pairings),
+            "pairings of a member of Lambda are integers")
+    return gcd(*(int(p) for p in pairings))
 
 
 def is_primitive_in_lambda(space: LLVSpace, x: LLVVector) -> bool:

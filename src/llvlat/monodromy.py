@@ -25,8 +25,9 @@ from fractions import Fraction
 from math import factorial
 
 from . import arith, cohomology as coh
-from .errors import DomainError
-from .isometry import Isometry, b_lambda, eta_extend
+from .errors import DomainError, certify
+from .isometry import (Isometry, _isometry, _scaled_identity, b_lambda, eta_extend,
+                       reflection)
 from .lattice import LLVSpace, LLVVector, make_space
 from .lines import LLVLine, ell_lagrangian, ell_twist
 
@@ -35,13 +36,10 @@ def phi_p(k3: LLVSpace) -> Isometry:
     """Spherical-twist action on the K3 Mukai lattice: (r, a, s) -> (s, -a, r)."""
     if k3.dtype != "K3":
         raise DomainError("phi_p lives on the K3 space")
-
-    def act(x: LLVVector) -> LLVVector:
-        return LLVVector(x.s, tuple(-c for c in x.v), x.r)
-
-    from .isometry import _matrix_from_action
-
-    return Isometry(k3, _matrix_from_action(k3, act))
+    rows = _scaled_identity(k3.dim, -1)
+    rows[0][0] = rows[-1][-1] = 0
+    rows[0][-1] = rows[-1][0] = 1
+    return _isometry(k3, rows, 1)
 
 
 @dataclass(frozen=True)
@@ -72,17 +70,9 @@ def chi_involution(space: LLVSpace) -> Isometry:
     """Sign-character action: (-1)^(n+1) times reflection orthogonal to u0."""
     if space.dtype != "Hilb" or space.n < 2:
         raise DomainError("chi involution lives on Hilbert schemes, n >= 2")
-    n = space.n
-    u0 = LLVVector.make(0, space.delta(), n - 1)
-    sign = (-1) ** (n + 1)
-
-    def act(x: LLVVector) -> LLVVector:
-        y = x + (space.pair(x, u0) / Fraction(n - 1)) * u0
-        return sign * y
-
-    from .isometry import _matrix_from_action
-
-    return Isometry(space, _matrix_from_action(space, act))
+    # (u0, u0) = 2 - 2n, so the reflection is x -> x + (x, u0)/(n-1) u0
+    refl = reflection(space, LLVVector.make(0, space.delta(), space.n - 1))
+    return refl if space.n % 2 else -refl
 
 
 def theta_embed(k3: LLVSpace, target: LLVSpace, x: LLVVector) -> LLVVector:
@@ -141,7 +131,7 @@ def fz_bundle_c1(r0: int, lam, n: int):
     c1 = tuple(nf * r0 ** (n - 1) * c for c in lamv) + (0,) * (pad - 1) \
         + (-Fraction(nf * r0**n, 2),)
     v = LLVVector.make(r0, lamv, Fraction(q, 2 * r0))
-    assert k3.pair(v, v) == 0
+    certify(k3.pair(v, v) == 0, "the K3 Mukai vector is isotropic")
     half = tuple(Fraction(1, 2) * c for c in target.delta())
     gen = target.b_lambda_apply(tuple(-c for c in half),
                                 theta_embed(k3, target, v))
@@ -151,7 +141,8 @@ def fz_bundle_c1(r0: int, lam, n: int):
         tuple(c / (nf * r0 ** (n - 1)) for c in c1),
         Fraction(target.h2.pair(c1, c1), 2 * nf**2 * r0 ** (2 * n - 1)),
     )
-    assert LLVLine(gen).same_line(LLVLine(gamma))
+    certify(LLVLine(gen).same_line(LLVLine(gamma)),
+            "the transform line is the isotropic normal form")
     return rank, c1, LLVLine(gen)
 
 
@@ -182,12 +173,14 @@ def ek_pipeline(k: int):
     h_k3 = (1, 3) + (0,) * 20  # e1 + 3 f1, square 6
     h_tilde = h_k3 + (0,)
     lam = tuple(2 * Fraction(c) for c in h_tilde[:-1]) + (Fraction(-3),)
-    assert space.h2.pair(lam, lam) == 6
+    certify(space.h2.pair(lam, lam) == 6, "lambda^2 = 6")
 
     line0, _ = ell_lagrangian(space, lam, 1)
-    assert line0.generator == LLVVector.make(0, lam, -3)
+    certify(line0.generator == LLVVector.make(0, lam, -3),
+            "the lagrangian line is (0, lambda, -3)")
     twisted = ell_twist(space, line0, tuple(k * c for c in lam))
-    assert twisted.generator == LLVVector.make(0, lam, 6 * k - 3)
+    certify(twisted.generator == LLVVector.make(0, lam, 6 * k - 3),
+            "the twisted line is (0, lambda, 6k - 3)")
 
     lift = dmon_lift(phi_p(k3), 2).lifted
     after_p = lift.apply(twisted.generator)
@@ -211,7 +204,7 @@ def _ek_rank(space: LLVSpace, lam, k: int) -> int:
     chi_k = chi_lagrangian_twist(space, lam, 27, k)
     chi_k1 = chi_lagrangian_twist(space, lam, 27, k + 1)
     rank = chi_k1 + chi_k - _EK_QUOTIENT_RANK
-    assert rank.denominator == 1
+    certify(rank.denominator == 1, "the E_k rank is an integer")
     return int(rank)
 
 

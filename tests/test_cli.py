@@ -232,3 +232,48 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["generator"]["s"] == "1"
+
+
+def test_chern_phiO_r0_below_one_exit2(capsys):
+    code, out, err = run_cli(
+        ["chern", "--family", "phiO", "--r0", "0", "--h-sq", "6"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("domain error: r0 must be a positive integer")
+
+
+def test_chern_lagrangian_missing_flag_exit3(capsys):
+    code, out, err = run_cli(
+        ["chern", "--family", "lagrangian", "--lambda-sq", "6"], capsys)
+    assert (code, out) == (3, "")
+    assert "--chi-z" in err and "Traceback" not in err
+
+
+# a failed exact check inside the library must still fire under python -O,
+# and the CLI reports it as a verification failure (exit 1) in one line
+_CERTIFY_UNDER_O = """
+import sys
+from fractions import Fraction
+from llvlat import CertificateError, certify
+from llvlat import monodromy
+from llvlat.cli import main
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+try:
+    certify(False, "a false certificate")
+except CertificateError:
+    pass
+else:
+    sys.exit("certify(False, ...) did not raise")
+monodromy._EK_QUOTIENT_RANK = Fraction(23, 2)  # makes the E_k rank fractional
+sys.exit(main(["monodromy", "--ek", "1"]))
+"""
+
+
+def test_certify_survives_python_O():
+    proc = subprocess.run([sys.executable, "-O", "-c", _CERTIFY_UNDER_O],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == ("verification error: certificate failed: "
+                           "the E_k rank is an integer\n")

@@ -2,20 +2,26 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import oracle_dense_isometry as oracle
 from llvlat import (
     DomainError,
     Isometry,
     LLVVector,
     b_lambda,
+    chi_involution,
     det_and_orientation,
+    dmon_lift,
     duality_D,
     e_lambda,
     eta_extend,
     identity_isometry,
     make_space,
+    phi_p,
     reflection,
 )
+from llvlat import _linalg
 from llvlat._linalg import identity
 
 
@@ -195,3 +201,106 @@ def test_dmon_lift_accepts_serialized_matrix():
     g = phi_p(k3)
     g2 = isometry_from_rows(k3, g.to_rows())
     assert dmon_lift(g2, 2).lifted.m == dmon_lift(g, 2).lifted.m
+
+
+# --- closed-form integer isometries against the dense Fraction oracle
+
+_PRESETS = [("K3", 1)] + [("HilbK3", n) for n in range(2, 6)] \
+    + [("Kum", n) for n in range(2, 5)]
+_q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_ORACLE_SETTINGS = settings(derandomize=True, deadline=None, database=None,
+                            suppress_health_check=[HealthCheck.too_slow])
+
+
+def _h2_vec(draw, space):
+    v = [Q(0)] * space.h2.rank
+    for i, c in draw(st.lists(st.tuples(st.integers(0, space.h2.rank - 1), _q),
+                              max_size=5)):
+        v[i] += c
+    return tuple(v)
+
+
+def _llv_vec(draw, space):
+    return LLVVector.make(draw(_q), _h2_vec(draw, space), draw(_q))
+
+
+@st.composite
+def _letter(draw, space):
+    """A generator of the isometry group and its oracle matrix."""
+    kinds = ["b_lambda", "reflection", "duality_D"]
+    kinds += ["phi_p"] if space.dtype == "K3" else []
+    kinds += ["chi"] if space.dtype == "Hilb" else []
+    kind = draw(st.sampled_from(kinds))
+    if kind == "b_lambda":
+        lam = _h2_vec(draw, space)
+        return b_lambda(space, lam), oracle.b_lambda(space, lam)
+    if kind == "reflection":
+        u = _llv_vec(draw, space)
+        if space.pair(u, u) == 0:
+            with pytest.raises(DomainError):
+                reflection(space, u)
+            return identity_isometry(space), identity(space.dim)
+        return reflection(space, u), oracle.reflection(space, u)
+    if kind == "phi_p":
+        return phi_p(space), oracle.phi_p(space)
+    if kind == "chi":
+        return chi_involution(space), oracle.chi_involution(space)
+    return duality_D(space), oracle.duality_D(space)
+
+
+def _word(draw, space, max_size):
+    letters = draw(st.lists(_letter(space), min_size=1, max_size=max_size))
+    g, m = letters[0]
+    for h, hm in letters:
+        assert h.m == hm
+        assert oracle.preserves_gram(space, hm)
+    for h, hm in letters[1:]:
+        g, m = g.compose(h), _linalg.mat_mul(m, hm)
+    assert g.m == m
+    return g, m
+
+
+@settings(_ORACLE_SETTINGS, max_examples=60)
+@given(st.data())
+def test_constructors_match_dense_oracle(data):
+    space = make_space(*data.draw(st.sampled_from(_PRESETS)))
+    g, m = _word(data.draw, space, 3)
+    lam = _h2_vec(data.draw, space)
+    assert e_lambda(space, lam).m == oracle.e_lambda(space, lam)
+    assert Isometry(space, m) == g
+    assert g.det() == _linalg.det(m)
+    assert g.inverse().m == oracle.inverse(space, m)
+    x = _llv_vec(data.draw, space)
+    assert g.apply(x) == oracle.apply(m, x)
+    # perturb entry (i, j) by t in a row i of an isotropic basis vector
+    # (alpha, e1..f3, beta).  With r = row i of G M, the Gram of the result
+    # changes by t (e_j r + r^T e_j^T) + t^2 G_ii e_j e_j^T; G_ii = 0 here,
+    # and r != 0 because G M is invertible, so no such t keeps the pairing
+    i = data.draw(st.sampled_from([0, 1, 2, 3, 4, 5, 6, space.dim - 1]))
+    j = data.draw(st.integers(0, space.dim - 1))
+    t = data.draw(_q.filter(bool))
+    bad = [list(row) for row in m]
+    bad[i][j] += t
+    assert not oracle.preserves_gram(space, bad)
+    with pytest.raises(DomainError):
+        Isometry(space, bad)
+
+
+@settings(_ORACLE_SETTINGS, max_examples=25)
+@given(st.data(), st.integers(2, 5))
+def test_dmon_lift_matches_dense_oracle(data, n):
+    k3 = make_space("K3")
+    g, m = _word(data.draw, k3, 3)
+    assert eta_extend(g, n).m == oracle.eta_extend(m, n)
+    lift = dmon_lift(g, n).lifted
+    dense = oracle.dmon_lift(m, n)
+    assert lift.m == dense
+    space = lift.space
+    chi, chi_m = chi_involution(space), oracle.chi_involution(space)
+    assert chi.m == chi_m
+    result, result_m = chi.compose(lift), _linalg.mat_mul(chi_m, dense)
+    assert result.m == result_m
+    assert result.det() == _linalg.det(result_m)
+    assert result.inverse().m == oracle.inverse(space, result_m)
+    x = _llv_vec(data.draw, space)
+    assert result.apply(x) == oracle.apply(result_m, x)
