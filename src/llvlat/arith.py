@@ -19,18 +19,27 @@ divisible by 5; for 3 | q/2 divisibility 2 is forced along with
 q/2 = 3 (mod 8), 8c/5 integral, and 3 q/2, 16 c q/2 - 5 perfect squares;
 otherwise q/2 and 3 (16 c q/2 - 5) are perfect squares with c/5 integral
 (divisibility 1) or gcd(8, 5 + q/2) c / 5 integral (divisibility 2).
+
+The search never tests a square.  With x = q/2 and c = 5 m / (8 x),
+16 c x - 5 = 5 (2m - 1), so the square gate holds exactly when
+2m - 1 = f k^2 with k odd, f = 5 if 3 | x and f = 15 otherwise.  The
+admissible x are then x = s^2 (3, 5 not dividing s) and, for divisibility
+2, x = 3 r^2 (r odd, 5 not dividing r), and t^2 = 3 f k^2 / (5 x) is forced
+to be a rational square: t = 3k/s or k/r.  So the search runs over odd k,
+sets m = (f k^2 + 1)/2 and keeps the m on the integrality stride.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import chain
+from math import gcd, isqrt
 
 from . import cohomology as coh
-from .errors import DomainError, InadmissibleError
+from .errors import DomainError, InadmissibleError, certify
 from .lattice import LLVSpace
-from .rational import is_square_int, sqrt_rational
+from .rational import sqrt_rational
 
 Q = Fraction
 
@@ -96,7 +105,7 @@ def lagrangian_data(space: LLVSpace, lambda_sq, chiZ: int, lam=None,
         raise DomainError("ch2 self-intersection failed to reproduce chi(Z)")
     # chi(O_Z) through the ring must match the closed form
     ch = ch2 + ch3 + coh.point_class(space, ch4)
-    assert coh.chi(space, ch) == chi_oz
+    certify(coh.chi(space, ch) == chi_oz, "chi(O_Z) through the ring")
     return data, (ch2, ch3, ch4)
 
 
@@ -118,7 +127,8 @@ def hodge_relations(chiZ: int, h10: int, lambda_sq_positive: bool = True):
     h11 = Fraction(chiZ + m + 4 * h10, 2)
     flagged = h20 < 0 or h11 < 0 or h20.denominator != 1 or h11.denominator != 1
     # Euler characteristic readback
-    assert 2 - 4 * h10 + 2 * h20 + h11 == chiZ
+    certify(2 - 4 * h10 + 2 * h20 + h11 == chiZ,
+            "the Hodge numbers read back chi(Z)")
     return h20, h11, flagged
 
 
@@ -132,68 +142,78 @@ class SearchHit:
     chiOZ: Fraction
 
 
-def _square_gate(x: int, c: Fraction, div: int) -> bool:
-    """Per-candidate perfect-square conditions of the case analysis."""
-    if x % 3 == 0:
-        val = 16 * c * x - 5
-    else:
-        val = 3 * (16 * c * x - 5)
-    return val.denominator == 1 and is_square_int(int(val))
+# a search box may take at most this many steps: one per candidate odd k,
+# plus one per candidate root s or r of x = q/2 (see arithmetic_search)
+SEARCH_STEP_LIMIT = 10**6
 
 
-def _m_stride(x: int, div: int) -> int | None:
-    """Stride of m = sqrt(chi(Z)/3) forced by the integrality conditions.
+def _square_classes(x_max: int, div: int, c_bound: Fraction):
+    """(q, f, stride, root, k_top) for every x = q/2 <= x_max the cases admit.
 
-    c = 5 m / (8 x), so the per-case integrality of (a multiple of) c / 5
-    pins m to multiples of a fixed stride; None means the whole square
-    (lam, lam) = 2x is excluded for this divisibility.
+    x = s^2 with 3 and 5 not dividing s (f = 15; stride 8x for divisibility
+    1, 8x / gcd(8, 5 + x) for divisibility 2), and, for divisibility 2 only,
+    x = 3 r^2 with r odd and 5 not dividing r (then x = 3 (mod 8), 3x is a
+    square and the stride of m is x; f = 5).  k_top is the largest k with
+    m = (f k^2 + 1)/2 <= m_max = 4 q c_bound / 5.
     """
-    if x % 3 == 0:
-        # forced: div = 2, x = 3 (mod 8), 3x a perfect square, 8c/5 integral
-        if div != 2 or x % 8 != 3 or not is_square_int(3 * x):
-            return None
-        return x  # 8c/5 = m/x
-    if not is_square_int(x):
-        return None
-    if div == 1:
-        return 8 * x  # c/5 = m/(8x)
-    scale = gcd(8, 5 + x)
-    return 8 * x // gcd(scale, 8 * x)
+    roots = ((s, s * s, 15) for s in range(1, isqrt(x_max) + 1)
+             if s % 3 and s % 5)
+    if div == 2:
+        roots = chain(roots, ((r, 3 * r * r, 5)
+                              for r in range(1, isqrt(x_max // 3) + 1, 2)
+                              if r % 5))
+    for root, x, f in roots:
+        if f == 5:
+            stride = x
+        elif div == 1:
+            stride = 8 * x
+        else:
+            stride = 8 * x // gcd(8, 5 + x)
+        q = 2 * x
+        m_top = 4 * q * c_bound.numerator // (5 * c_bound.denominator)
+        k_top = isqrt(max(2 * m_top - 1, 0) // f)
+        yield q, f, stride, root, k_top
 
 
 def arithmetic_search(lambda_sq_max: int, c_bound, div: int) -> list[SearchHit]:
     """All admissible (lambda_sq, c, t) in the box, for one divisibility.
 
-    chi(Z) = 3 m^2 is the enumeration variable: c = 5 m / (4 lambda_sq), so
-    m runs to 4 lambda_sq c_bound / 5 along the integrality stride.
-    Squares divisible by 5 are skipped outright.  Every hit re-derives t
-    from t^2 = (48/25) c - 6/(5 q) and keeps only rational-square outcomes.
+    chi(Z) = 3 m^2 with c = 5 m / (4 lambda_sq) = 5 m / (8 x), so the
+    square gate reads 2 m - 1 = f k^2 with k odd (see the module docstring)
+    and the search runs over odd k up to m <= 4 lambda_sq c_bound / 5,
+    keeping the m on the integrality stride; t = (f/5) k / root is then
+    certified against t^2 = (48/25) c - 6/(5 q).  A box that would take
+    more than SEARCH_STEP_LIMIT = 10^6 steps (candidate roots s, r of x
+    plus candidate k) is refused with DomainError before any search.
     """
     if div not in (1, 2):
         raise DomainError("div must be 1 or 2")
     c_bound = Fraction(c_bound)
     if lambda_sq_max < 2 or c_bound <= 0:
         raise DomainError("bounds must be positive")
+    x_max = lambda_sq_max // 2
+    steps = isqrt(x_max) + isqrt(x_max // 3)
+    if steps <= SEARCH_STEP_LIMIT:
+        steps += sum((k_top + 1) // 2 for *_, k_top
+                     in _square_classes(x_max, div, c_bound))
+    if steps > SEARCH_STEP_LIMIT:
+        raise DomainError("search box too large: more than "
+                          f"{SEARCH_STEP_LIMIT} candidate steps")
     hits = []
-    for q in range(2, lambda_sq_max + 1, 2):
-        if q % 5 == 0:
-            continue
-        x = q // 2
-        stride = _m_stride(x, div)
-        if stride is None:
-            continue
-        m_max = 4 * q * c_bound / 5
-        m = stride
-        while m <= m_max:
-            c = Fraction(5 * m, 4 * q)
-            if _square_gate(x, c, div):
-                t_sq = Fraction(48, 25) * c - Fraction(6, 5 * q)
-                t = sqrt_rational(t_sq) if t_sq >= 0 else None
-                if t is not None:
-                    chi_z = 3 * m * m
-                    chi_oz = Fraction(chi_z - m, 4)
-                    hits.append(SearchHit(q, div, c, t, chi_z, chi_oz))
-            m += stride
+    for q, f, stride, root, k_top in _square_classes(x_max, div, c_bound):
+        for k in range(1, k_top + 1, 2):
+            m = (f * k * k + 1) // 2
+            if m % stride:
+                continue
+            # t = (f/5) k / root; with c = 5 m / (4 q) the closed form
+            # t^2 = (48/25) c - 6/(5 q) is (12 m - 6)/(5 q), cross-multiplied
+            t_num = f // 5 * k
+            certify(5 * q * t_num * t_num == (12 * m - 6) * root * root,
+                    "t^2 = (48/25) c - 6/(5 q) on a search hit")
+            chi_z = 3 * m * m
+            hits.append(SearchHit(q, div, Fraction(5 * m, 4 * q),
+                                  Fraction(t_num, root), chi_z,
+                                  Fraction(chi_z - m, 4)))
     hits.sort(key=lambda h: (h.lambda_sq, h.c))
     return hits
 
@@ -280,6 +300,7 @@ def segre_enumerate(space: LLVSpace, r0_max: int):
             + 25 * r0**4 * (r0**4 + 1) + 46 * r0**6,
             32 * r0**6,
         )
-        assert chi.denominator == 1
+        certify(chi.denominator == 1,
+                "chi of the rank r0^2 family is an integer")
         out.append((r0, int(eta_sq), int(chi)))
     return out

@@ -249,23 +249,18 @@ def cmd_chern(args) -> int:
 
 def cmd_search(args) -> int:
     divs = [args.div] if args.div else [1, 2]
-    rows = []
-    seen = set()
-    for d in divs:
-        for h in arith.arithmetic_search(args.max_lambda_sq, parse_q(args.max_c), d):
-            key = (h.lambda_sq, h.div, h.c)
-            if key in seen:
-                continue
-            seen.add(key)
-            rows.append({
-                "lambda_sq": h.lambda_sq,
-                "div": h.div,
-                "c": fmt_q(h.c),
-                "t": fmt_q(h.t),
-                "chiZ": h.chiZ,
-                "chiOZ": fmt_q(h.chiOZ),
-            })
-    rows.sort(key=lambda r: (r["lambda_sq"], r["div"], parse_q(r["c"])))
+    c_bound = parse_q(args.max_c)
+    hits = [h for d in divs
+            for h in arith.arithmetic_search(args.max_lambda_sq, c_bound, d)]
+    hits.sort(key=lambda h: (h.lambda_sq, h.div, h.c))
+    rows = [{
+        "lambda_sq": h.lambda_sq,
+        "div": h.div,
+        "c": fmt_q(h.c),
+        "t": fmt_q(h.t),
+        "chiZ": h.chiZ,
+        "chiOZ": fmt_q(h.chiOZ),
+    } for h in hits]
     _emit({"hits": rows, "count": len(rows)})
     return EXIT_OK
 

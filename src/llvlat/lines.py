@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from . import cohomology as coh
-from .errors import DomainError, NotRealizableError
+from .errors import DomainError, NotRealizableError, certify
 from .harmonic import project_harmonic
 from .isometry import b_lambda, duality_D
 from .lattice import (
@@ -75,7 +75,8 @@ def ell_structure_sheaf(space: LLVSpace):
     else:
         raise DomainError("for a K3 surface use the Mukai-lattice conventions "
                           "directly; the structure-sheaf line is (1, 0, 1)")
-    assert t**n == Fraction(factorial(n)) * sqrt_td_integral / space.fujiki
+    certify(t**n == Fraction(factorial(n)) * sqrt_td_integral / space.fujiki,
+            "t^n = n! * integral(sqrt td) / c_X")
     k = space.h2.rank
     line = LLVLine(LLVVector.make(4, (0,) * k, 4 * t))
     return line, t, sqrt_td_integral
@@ -92,7 +93,8 @@ def ell_structure_sheaf_roundtrip(space: LLVSpace) -> LLVLine:
     h = Fraction(1, factorial(space.n)) * project_harmonic(lin.power(space.n))
     recovered = recover_line(h)
     out = LLVLine(recovered)
-    assert out.same_line(line)
+    certify(out.same_line(line),
+            "the harmonic round trip recovers the structure-sheaf line")
     return out
 
 
@@ -166,7 +168,7 @@ def ell_phiO(space: LLVSpace, r0: int, h):
     h_sq = space.h2.pair(hv, hv)
     s = Fraction(5 * r0**2 + 2 * h_sq, 2 * r0**3)
     gamma = LLVVector.make(2 * r0, tuple(2 * c / r0 for c in hv), s)
-    assert space.pair(gamma, gamma) == -10
+    certify(space.pair(gamma, gamma) == -10, "gamma^2 = -10")
     if not in_integral_llv(space, gamma):
         raise NotRealizableError(
             "gamma must lie in the integral LLV lattice", "membership failed"
@@ -221,8 +223,8 @@ def chern_phiO(space: LLVSpace, r0: int, h):
     )
     ch = coh.scalar_class(space, r0**2) + coh.h2_class(space, hv) + ch2 + ch3 \
         + coh.point_class(space, ch4)
-    assert coh.chi(space, ch) == chi_val
-    assert chi_val.denominator == 1
+    certify(coh.chi(space, ch) == chi_val, "chi through the ring")
+    certify(chi_val.denominator == 1, "chi is an integer")
 
     # cross-check against the harmonic picture
     from .harmonic import expand_qtilde, ReducedSymElement, full_context
@@ -233,7 +235,8 @@ def chern_phiO(space: LLVSpace, r0: int, h):
     rhs = Fraction(1, 8) * expand_qtilde(
         g1 * g1 + ReducedSymElement.qtilde(ctx, 1, 10)
     )
-    assert lhs.terms == rhs.terms
+    certify(lhs.terms == rhs.terms,
+            "the Mukai vector projects to (gamma^2 + 10 qt)/8")
     return ch2, ch3, ch4, kappa, chi_val
 
 
@@ -262,7 +265,7 @@ def ell_isotropic(space: LLVSpace, r0: int, h, n: int | None = None):
     lam = tuple(c / (nf * r0 ** (n - 1)) for c in hv)
     s = Fraction(h_sq, 2 * nf**2 * r0 ** (2 * n - 1))
     gamma = LLVVector.make(r0, lam, s)
-    assert space.pair(gamma, gamma) == 0
+    certify(space.pair(gamma, gamma) == 0, "gamma is isotropic")
     report = {"rank": nf * r0**n, "gamma_sq": Fraction(0)}
     if n == 2:
         g = gcd(2, r0)
@@ -322,8 +325,8 @@ def chern_isotropic_k32(space: LLVSpace, r0: int, h):
     chi_val = (Fraction(h_sq + 10 * r0**4, 8 * r0**3)) ** 2
     ch = coh.scalar_class(space, 2 * r0**2) + coh.h2_class(space, hv) + ch2 \
         + ch3 + coh.point_class(space, ch4)
-    assert coh.chi(space, ch) == chi_val
-    assert chi_val.denominator == 1
+    certify(coh.chi(space, ch) == chi_val, "chi through the ring")
+    certify(chi_val.denominator == 1, "chi is an integer")
     return ch2, ch3, ch4, chi_val
 
 
@@ -379,7 +382,7 @@ def kappa_tensor_check(t1, t2) -> bool:
             raise DomainError("input triple violates the quadric")
     prod = (x1 * x2, x1 * y2 + x2 * y1, x1 * z2 + x2 * z1 + 828 * y1 * y2)
     ok = kappa_quadric(*prod) == 0
-    assert ok == (y1 * y2 == 0)
+    certify(ok == (y1 * y2 == 0), "the product quadric vanishes iff y1 y2 = 0")
     return ok
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 from math import gcd
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from llvlat import (
     DomainError,
@@ -16,6 +17,7 @@ from llvlat import (
     untwisted_lift_check,
 )
 from llvlat import cohomology as coh
+from oracle_linear_search import linear_search
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +103,46 @@ def test_search_rejects_bad_bounds():
         arithmetic_search(60, 1000, 3)
     with pytest.raises(DomainError):
         arithmetic_search(1, 1000, 1)
+
+
+# the root enumeration against the linear m-loop it replaced; rational
+# c bounds exercise the m <= m_max = 4 q c / 5 edge, and the explicit
+# examples put a hit exactly on it (the 3 | x hits have c = 5j/8)
+@settings(derandomize=True, deadline=None, database=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(2, 900), st.integers(1, 10000), st.integers(1, 7),
+       st.sampled_from((1, 2)))
+@example(8, 620, 1, 1)
+@example(900, 1670, 1, 1)
+@example(2, 85, 2, 2)
+@example(6, 205, 8, 2)
+@example(600, 3505, 8, 2)
+def test_search_matches_linear_oracle(lambda_sq_max, p, r, div):
+    c_bound = Q(p, r)
+    assert arithmetic_search(lambda_sq_max, c_bound, div) == \
+        linear_search(lambda_sq_max, c_bound, div)
+
+
+@pytest.mark.parametrize("lambda_sq_max, c_bound, divs",
+                         [(400, 5000, (2,)), (800, 5000, (1, 2))])
+def test_search_matches_linear_oracle_fixed_boxes(lambda_sq_max, c_bound,
+                                                  divs):
+    for div in divs:
+        got = arithmetic_search(lambda_sq_max, c_bound, div)
+        assert got and got == linear_search(lambda_sq_max, c_bound, div)
+
+
+def test_search_refuses_huge_boxes():
+    # counted before any search: c_bound = 10^30 would need ~10^15 steps
+    with pytest.raises(DomainError, match="search box too large"):
+        arithmetic_search(60, Q(10**30), 1)
+    with pytest.raises(DomainError, match="search box too large"):
+        arithmetic_search(10**40, Q(1, 10**50), 2)
+    # SEARCH_STEP_LIMIT = 10^6: (800, 5 * 10^8, 2) needs just over 10^6
+    # steps and is refused, (800, 4 * 10^8, 2) needs fewer and runs
+    with pytest.raises(DomainError):
+        arithmetic_search(800, 5 * 10**8, 2)
+    assert arithmetic_search(800, 4 * 10**8, 2)
 
 
 def test_integral_lagrangian_class(sp):

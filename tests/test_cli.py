@@ -126,6 +126,14 @@ def test_search(capsys):
     assert all(r["lambda_sq"] % 5 != 0 for r in doc["hits"])
 
 
+def test_search_huge_box_exit2(capsys):
+    # refused from the step count alone, before any search runs
+    code, out, err = run_cli(
+        ["search", "--max-lambda-sq", "60", "--max-c", "1e30"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("domain error: search box too large")
+
+
 def test_monodromy_ek(capsys):
     code, out, _ = run_cli(["monodromy", "--ek", "2"], capsys)
     assert code == 0
@@ -189,6 +197,11 @@ FROZEN_CLI = [
     (["chern", "--family", "lagrangian", "--lambda-sq", "6",
       "--chi-z", "27"], 0,
      "e7f1332dd62a6950be8a71a4037efb5faa809d595e289a69989e5af667a24733"),
+    (["search", "--max-lambda-sq", "800", "--max-c", "5000"], 0,
+     "9df022a96e855fe335a192229b935fa5c92a4405e84664940ffad44d65b91fe5"),
+    (["search", "--max-lambda-sq", "2000", "--max-c", "100000",
+      "--div", "2"], 0,
+     "30ac1b92dc41f41f829912730fee718eb56ef9d683b40129cac0e5e52502c072"),
 ]
 
 
