@@ -83,29 +83,29 @@ def det(a: Matrix) -> Fraction:
     return d
 
 
-def solve(a: Matrix, b: Vector) -> Vector:
-    """Solve a x = b exactly; raises ValueError if a is singular."""
+def inverse(a: Matrix) -> Matrix:
+    """Exact inverse by Gauss-Jordan elimination on [a | I].
+
+    Raises ValueError if a is singular.  Only the nonzero entries of the
+    pivot row are eliminated with, so sparse inputs stay cheap.
+    """
     n = len(a)
-    aug = [list(row) + [Fraction(bi)] for row, bi in zip(a, b)]
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(a)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
         if piv is None:
             raise ValueError("singular matrix")
         aug[col], aug[piv] = aug[piv], aug[col]
         inv = 1 / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(row[n] for row in aug)
-
-
-def inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    cols = [solve(a, tuple(Fraction(1 if i == j else 0) for i in range(n)))
-            for j in range(n)]
-    return transpose(mat(cols))
+        pivot = [(c, x) for c, x in enumerate(aug[col]) if x]
+        for r, row in enumerate(aug):
+            f = row[col]
+            if f and r != col:
+                for c, x in pivot:
+                    row[c] -= f * x
+    return tuple(tuple(row[n:]) for row in aug)
 
 
 def signature(gram: Matrix) -> tuple[int, int, int]:

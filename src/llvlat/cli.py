@@ -17,8 +17,6 @@ from . import arith, golden, lines, monodromy as mono
 from .errors import CertificateError, DomainError, ParseError
 from .lattice import (
     LLVVector,
-    div_in_lambda,
-    in_integral_llv,
     make_lattice,
     make_space,
 )
@@ -152,19 +150,19 @@ def cmd_ell(args) -> int:
     elif family == "PhiO":
         r0 = _int_field(doc, "r0")
         h = _parse_h2(space, doc["h"])
-        line, gamma_v, report = lines.ell_phiO(space, r0, h)
+        line, _, report = lines.ell_phiO(space, r0, h)
         out |= {
             "generator": _llv_out(line.generator),
             "square": fmt_q(line.square(space)),
-            "lambda_member": in_integral_llv(space, gamma_v),
-            "lambda_divisibility": div_in_lambda(space, gamma_v),
+            "lambda_member": report["lambda_member"],
+            "lambda_divisibility": report["lambda_divisibility"],
             "congruence": report["congruence"],
             "rank": report["rank"],
         }
     elif family == "Isotropic":
         r0 = _int_field(doc, "r0")
         h = _parse_h2(space, doc["h"])
-        line, gamma_v, report = lines.ell_isotropic(space, r0, h)
+        line, _, report = lines.ell_isotropic(space, r0, h)
         out |= {
             "generator": _llv_out(line.generator),
             "square": fmt_q(line.square(space)),

@@ -35,7 +35,7 @@ from .harmonic import (
     ReducedSymElement,
     full_context,
 )
-from .lattice import LLVSpace, LLVVector, _h2_gram_inverse, make_space
+from .lattice import LLVSpace, LLVVector, make_space
 
 Q = Fraction
 
@@ -178,13 +178,13 @@ def deg6_from_triple(space: LLVSpace, x1, x2, x3) -> CohClass:
 def c2_class(space: LLVSpace) -> CohClass:
     """c2 of the tangent bundle as an explicit invariant Sym^2 tensor."""
     _require_k32(space)
-    return Fraction(6, 5) * sym2_class(space, _h2_gram_inverse(space.h2))
+    return Fraction(6, 5) * sym2_class(space, space.h2.inverse)
 
 
 def b_invariant_class(space: LLVSpace) -> CohClass:
     """The normalized invariant b with integral of b^2 equal to 25/23."""
     _require_k32(space)
-    return Fraction(1, 23) * sym2_class(space, _h2_gram_inverse(space.h2))
+    return Fraction(1, 23) * sym2_class(space, space.h2.inverse)
 
 
 def _times_gram(space: LLVSpace, a4: dict) -> dict:
@@ -193,13 +193,12 @@ def _times_gram(space: LLVSpace, a4: dict) -> dict:
     Its trace is the full contraction c(A), it maps x to the sharp A G x,
     and trace(A G B G) is the induced pairing of A and B on Sym^2.
     """
-    g = space.h2.gram
+    rows = space.h2.rows
     out: dict = {}
     for (i, j), a in a4.items():
         for r, c in ((i, j), (j, i)) if i != j else ((i, j),):
-            for m, gcm in enumerate(g[c]):
-                if gcm:
-                    out[(r, m)] = out.get((r, m), 0) + a * gcm
+            for m, gcm in rows[c]:
+                out[(r, m)] = out.get((r, m), 0) + a * gcm
     return out
 
 

@@ -35,10 +35,19 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import DomainError
-from .lattice import LLVSpace, LLVVector, _gram_full_inverse
+from .lattice import LLVSpace, LLVVector
 from .rational import nth_root_rational
 
 Key = tuple[int, tuple[int, ...]]  # (qt exponent, sorted generator indices)
+
+
+def _add(out: dict, key: Key, c: Fraction) -> None:
+    """out[key] += c, dropping the key when the sum is zero."""
+    c += out.get(key, 0)
+    if c:
+        out[key] = c
+    else:
+        out.pop(key, None)
 
 
 @dataclass(frozen=True)
@@ -111,11 +120,7 @@ class ReducedSymElement:
             raise DomainError("elements over different generator contexts")
         out = dict(self.terms)
         for k, c in other.terms.items():
-            nc = out.get(k, Fraction(0)) + sign * c
-            if nc:
-                out[k] = nc
-            else:
-                out.pop(k, None)
+            _add(out, k, sign * c)
         return ReducedSymElement(self.ctx, out)
 
     def __add__(self, other):
@@ -140,12 +145,7 @@ class ReducedSymElement:
         out: dict[Key, Fraction] = {}
         for (j1, m1), c1 in self.terms.items():
             for (j2, m2), c2 in other.terms.items():
-                key = (j1 + j2, tuple(sorted(m1 + m2)))
-                nc = out.get(key, Fraction(0)) + c1 * c2
-                if nc:
-                    out[key] = nc
-                else:
-                    out.pop(key, None)
+                _add(out, (j1 + j2, tuple(sorted(m1 + m2))), c1 * c2)
         return ReducedSymElement(self.ctx, out)
 
     def power(self, k: int) -> "ReducedSymElement":
@@ -176,41 +176,21 @@ class ReducedSymElement:
 
 
 def _delta_term(ctx, j, mono, coeff, out):
-    """Accumulate Delta(coeff * qt^j * mono) into out."""
-    if j == 0:
-        g = ctx.gram_g
-        k = len(mono)
-        for a in range(k):
-            for b in range(a + 1, k):
-                p = g[mono[a]][mono[b]]
-                if p:
-                    rest = mono[:a] + mono[a + 1 : b] + mono[b + 1 :]
-                    key = (0, rest)
-                    nc = out.get(key, Fraction(0)) + coeff * p
-                    if nc:
-                        out[key] = nc
-                    else:
-                        out.pop(key, None)
-        return
-    # Delta(qt * f) = (1 + 2 deg(f)/N) f + qt Delta(f) with f = qt^(j-1) mono
-    n_amb = ctx.ambient_dim
-    deg_f = 2 * (j - 1) + len(mono)
-    scal = 1 + Fraction(2 * deg_f, n_amb)
-    key = (j - 1, mono)
-    nc = out.get(key, Fraction(0)) + coeff * scal
-    if nc:
-        out[key] = nc
-    else:
-        out.pop(key, None)
-    inner: dict[Key, Fraction] = {}
-    _delta_term(ctx, j - 1, mono, coeff, inner)
-    for (jj, mm), c in inner.items():
-        key = (jj + 1, mm)
-        nc = out.get(key, Fraction(0)) + c
-        if nc:
-            out[key] = nc
-        else:
-            out.pop(key, None)
+    """Accumulate Delta(coeff * qt^j * mono) into out.
+
+    Delta(qt^j m) = _qt_crossing(j, deg m, N) qt^(j-1) m + qt^j Delta(m),
+    and Delta(m) sums the pairings of the generator pairs in m.
+    """
+    k = len(mono)
+    if j:
+        _add(out, (j - 1, mono), coeff * _qt_crossing(j, k, ctx.ambient_dim))
+    g = ctx.gram_g
+    for a in range(k):
+        for b in range(a + 1, k):
+            p = g[mono[a]][mono[b]]
+            if p:
+                rest = mono[:a] + mono[a + 1 : b] + mono[b + 1 :]
+                _add(out, (j, rest), coeff * p)
 
 
 def delta_apply(x: ReducedSymElement) -> ReducedSymElement:
@@ -253,12 +233,7 @@ def project_harmonic(x: ReducedSymElement) -> ReducedSymElement:
             raise DomainError("projection system is singular")
         c = -c / a
         for (j, m), v in y.terms.items():
-            key = (j + i, m)
-            nc = result.get(key, Fraction(0)) + c * v
-            if nc:
-                result[key] = nc
-            else:
-                result.pop(key, None)
+            _add(result, (j + i, m), c * v)
     out = ReducedSymElement(x.ctx, result)
     if not delta_apply(out).is_zero():
         raise DomainError("projection failed to land in ker(Delta)")
@@ -377,7 +352,7 @@ def qtilde_full_expansion(ctx: GeneratorContext) -> ReducedSymElement:
     ) + (space.beta(),)
     if ctx.gens != expected:
         raise DomainError("qtilde expansion needs the standard full basis context")
-    ginv = _gram_full_inverse(space)
+    ginv = space.full.inverse
     n_amb = space.dim
     terms: dict[Key, Fraction] = {}
     for i in range(n_amb):

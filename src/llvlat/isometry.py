@@ -6,11 +6,11 @@ normalised so that gcd(N, d) = 1; equal isometries therefore have equal
 (N, d).  The rational matrix ``m`` is built from them on first use.
 
 Construction checks Gram compatibility exactly, as N^T G N = d^2 G over
-the integers: G N walks the cached nonzero Gram entries (53 of 625
-on a Hilbert-scheme space) and, the product being symmetric, only its
-upper triangle is compared.  So an Isometry is correct by construction.
-Composition multiplies numerators and denominators, and the determinant
-is a fraction-free elimination on N.
+the integers: G N is accumulated row by row over the sparse Gram rows of
+``space.full`` (53 nonzero entries of 625 on a Hilbert-scheme space) and,
+the product being symmetric, only its upper triangle is compared.  So an
+Isometry is correct by construction.  Composition multiplies numerators and
+denominators, and the determinant is a fraction-free elimination on N.
 
 Provided generators, each written down in closed form: unipotent B_lambda
 = exp(e_lambda) (identity plus one column and one row), hyperplane
@@ -25,14 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain
 from math import gcd
 from operator import mul
 
 from . import _linalg
 from .errors import DomainError, certify
-from .lattice import LLVSpace, LLVVector, _gram_full_inverse, make_space
+from .lattice import LLVSpace, LLVVector, make_space
 
 
 @dataclass(frozen=True)
@@ -49,26 +49,23 @@ class Endo:
         return Endo(self.space, _linalg.mat_mul(self.m, other.m))
 
 
-@lru_cache(maxsize=32)
-def _int_gram(space: LLVSpace):
-    """The full Gram as integer rows, and its nonzero entries (i, j, g)."""
-    rows = tuple(tuple(int(x) for x in row) for row in space.gram_full())
-    nonzeros = tuple((i, j, g) for i, row in enumerate(rows)
-                     for j, g in enumerate(row) if g)
-    return rows, nonzeros
+def _gram_times(space: LLVSpace, num: _linalg.IntMatrix) -> list:
+    """G N, accumulated row by row over the sparse rows of the full Gram."""
+    gn = []
+    for row in space.full.rows:
+        acc = (0,) * space.dim
+        for j, g in row:
+            acc = [a + g * x for a, x in zip(acc, num[j])]
+        gn.append(acc)
+    return gn
 
 
 def _preserves_gram(space: LLVSpace, num: _linalg.IntMatrix, den: int) -> bool:
     """N^T G N == d^2 G, comparing the upper triangle of the symmetric product."""
-    rows, nonzeros = _int_gram(space)
-    gn = [(0,) * space.dim] * space.dim
-    for i, j, g in nonzeros:
-        gn[i] = [a + g * x for a, x in zip(gn[i], num[j])]
-    gn_cols = tuple(zip(*gn))
+    gn_cols = tuple(zip(*_gram_times(space, num)))
     d2 = den * den
-    for a, col in enumerate(zip(*num)):
-        if [sum(map(mul, col, c)) for c in gn_cols[a:]] \
-                != [d2 * g for g in rows[a][a:]]:
+    for a, (col, row) in enumerate(zip(zip(*num), space.full.gram)):
+        if [sum(map(mul, col, c)) for c in gn_cols[a:]] != [d2 * g for g in row[a:]]:
             return False
     return True
 
@@ -119,10 +116,10 @@ class Isometry:
                          self.den * other.den)
 
     def inverse(self) -> "Isometry":
-        """G^-1 M^T G."""
-        ginv, e = _linalg.to_int_matrix(_gram_full_inverse(self.space))
-        mtg = _linalg.int_mat_mul(tuple(zip(*self.num)), _int_gram(self.space)[0])
-        return _isometry(self.space, _linalg.int_mat_mul(ginv, mtg), e * self.den)
+        """G^-1 M^T G = G^-1 (G M)^T, G being symmetric."""
+        ginv, e = _linalg.to_int_matrix(self.space.full.inverse)
+        gn_t = tuple(zip(*_gram_times(self.space, self.num)))
+        return _isometry(self.space, _linalg.int_mat_mul(ginv, gn_t), e * self.den)
 
     def det(self) -> int:
         d = _linalg.int_det(self.num)
@@ -204,7 +201,7 @@ def reflection(space: LLVSpace, u: LLVVector) -> Isometry:
     ((c, c) I - 2 c (G c)^T) / (c, c).
     """
     c, _ = _linalg.to_int(u.coords())
-    gc = space.gram_vec(c)
+    gc = space.full.gram_vec(c)
     cc = sum(map(mul, c, gc))
     if cc == 0:
         raise DomainError("cannot reflect in an isotropic vector")

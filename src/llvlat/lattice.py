@@ -7,15 +7,27 @@ cohomology of Hilbert schemes of points on a K3 (K3 + <2-2n>, with the
 exceptional half-diagonal class delta last), and of generalized Kummer
 varieties (U^3 + <-2n-2>).
 
+The Gram matrix is stored once, as ``gram``, and read in one sparse format,
+``rows``: row i lists the pairs (j, g_ij) with g_ij != 0 (the K3[2] Gram has
+51 nonzero entries out of 529).  ``pair`` and ``gram_vec`` walk ``rows``
+over integer numerators, and ``inverse`` is the exact inverse Gram, computed
+on first use and cached on the lattice.
+
 An ``LLVSpace`` adjoins a hyperbolic plane spanned by two isotropic classes
 alpha, beta with (alpha, beta) = -1, orthogonal to H^2.  Elements are
-``LLVVector`` triples (r, v, s) = r*alpha + v + s*beta.  The integral LLV
-lattice of a Hilbert scheme is the image of the standard integral lattice
-Z*alpha + H^2(Z) + Z*beta under the unipotent isometry B_{-delta/2}; it is
-the lattice preserved by the derived monodromy group, and membership and
-divisibility in it gate most constructions downstream.
+``LLVVector`` triples (r, v, s) = r*alpha + v + s*beta.  The extended space
+is itself a ``QuadLattice``, ``space.full``, with basis (alpha, h2 basis...,
+beta) and the alpha/beta corner in its Gram; every other module reads
+``rows``, ``gram`` and ``inverse`` from ``space.h2`` or ``space.full``.  The
+integral LLV lattice of a Hilbert scheme is the image of the standard
+integral lattice Z*alpha + H^2(Z) + Z*beta under the unipotent isometry
+B_{-delta/2}; it is the lattice preserved by the derived monodromy group,
+and membership and divisibility in it gate most constructions downstream.
 
-All values are immutable and all operations pure.
+``make_lattice`` and ``make_space`` are memoized on (preset, n), so each
+preset is one canonical object per process and its cached ``rows``,
+``inverse`` and ``full`` are computed once.  All values are immutable and
+all operations pure.
 """
 
 from __future__ import annotations
@@ -71,23 +83,27 @@ class QuadLattice:
         return len(self.gram)
 
     @cached_property
-    def nonzeros(self) -> tuple[tuple[int, int, int], ...]:
-        """(i, j, g_ij) for the nonzero Gram entries, row by row."""
-        return tuple((i, j, g) for i, row in enumerate(self.gram)
-                     for j, g in enumerate(row) if g)
+    def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Row i of the Gram as the pairs (j, g_ij) with g_ij != 0."""
+        return tuple(tuple((j, g) for j, g in enumerate(row) if g)
+                     for row in self.gram)
+
+    @cached_property
+    def inverse(self) -> _linalg.Matrix:
+        """Exact inverse of the Gram matrix."""
+        return _linalg.inverse(_linalg.mat(self.gram))
 
     def pair(self, x, y) -> Fraction:
         # over the integers: x = xs / a and y = ys / b
         xs, a = _linalg.to_int(self.vector(x))
         ys, b = _linalg.to_int(self.vector(y))
-        return Fraction(sum(g * xs[i] * ys[j] for i, j, g in self.nonzeros), a * b)
+        return Fraction(sum(xi * g * ys[j] for xi, row in zip(xs, self.rows)
+                            if xi for j, g in row), a * b)
 
     def gram_vec(self, x) -> tuple:
         """G x, the pairings of x with the basis: ints when x is integral."""
         xs, a = _linalg.to_int(x)
-        out = [0] * self.rank
-        for i, j, g in self.nonzeros:
-            out[i] += g * xs[j]
+        out = [sum(g * xs[j] for j, g in row) for row in self.rows]
         return tuple(out) if a == 1 else tuple(Fraction(c, a) for c in out)
 
     def vector(self, x) -> tuple[Fraction, ...]:
@@ -164,6 +180,7 @@ def _e8_block(i):
     return (E8_NEG_GRAM, tuple(f"a{i}{j}" for j in range(1, 9)))
 
 
+@lru_cache(maxsize=32)
 def make_lattice(preset: str, n: int | None = None) -> QuadLattice:
     """Build a preset lattice.
 
@@ -262,6 +279,16 @@ class LLVSpace:
     def dim(self) -> int:
         return self.h2.rank + 2
 
+    @cached_property
+    def full(self) -> QuadLattice:
+        """The extended space as a lattice: basis (alpha, h2 basis..., beta)."""
+        edge = (0,) * self.h2.rank
+        gram = ((0,) + edge + (-1,),) \
+            + tuple((0,) + row + (0,) for row in self.h2.gram) \
+            + ((-1,) + edge + (0,),)
+        return QuadLattice(f"LLV({self.h2.name})", gram,
+                           ("alpha",) + self.h2.labels + ("beta",))
+
     def alpha(self) -> LLVVector:
         return LLVVector.make(1, (0,) * self.h2.rank, 0)
 
@@ -281,17 +308,7 @@ class LLVSpace:
         return self.h2.basis_vector(self.h2.rank - 1)
 
     def pair(self, x: LLVVector, y: LLVVector) -> Fraction:
-        if len(x.v) != self.h2.rank or len(y.v) != self.h2.rank:
-            raise DomainError("dimension mismatch")
-        return self.h2.pair(x.v, y.v) - x.r * y.s - y.r * x.s
-
-    def gram_vec(self, coords) -> tuple:
-        """G x for full-space coordinates (alpha, h2..., beta), sparsely."""
-        return (-coords[-1],) + self.h2.gram_vec(coords[1:-1]) + (-coords[0],)
-
-    def gram_full(self) -> _linalg.Matrix:
-        """Gram matrix of the full space in basis order (alpha, h2, beta)."""
-        return _gram_full_cached(self)
+        return self.full.pair(x.coords(), y.coords())
 
     def signature(self) -> tuple[int, int]:
         p, m = self.h2.signature()
@@ -326,34 +343,7 @@ class LLVSpace:
         )
 
 
-def _bordered(block) -> _linalg.Matrix:
-    """Full-space matrix with an H^2 block and the alpha, beta corner.
-
-    The corner [[0, -1], [-1, 0]] is its own inverse, so bordering the
-    inverse H^2 Gram gives the inverse of the full Gram.
-    """
-    z, m = Fraction(0), Fraction(-1)
-    edge = (z,) * len(block)
-    return ((z,) + edge + (m,),) \
-        + tuple((z,) + tuple(Fraction(x) for x in row) + (z,) for row in block) \
-        + ((m,) + edge + (z,),)
-
-
 @lru_cache(maxsize=32)
-def _gram_full_cached(space: "LLVSpace") -> _linalg.Matrix:
-    return _bordered(space.h2.gram)
-
-
-@lru_cache(maxsize=32)
-def _h2_gram_inverse(lattice: QuadLattice) -> _linalg.Matrix:
-    """Exact inverse of the H^2 Gram; the only matrix inverse cached here."""
-    return _linalg.inverse(_linalg.mat(lattice.gram))
-
-
-def _gram_full_inverse(space: "LLVSpace") -> _linalg.Matrix:
-    return _bordered(_h2_gram_inverse(space.h2))
-
-
 def make_space(preset: str, n: int = 1) -> LLVSpace:
     """LLV space of a preset deformation type.
 
@@ -395,7 +385,7 @@ def div_in_lambda(space: LLVSpace, x: LLVVector) -> int:
         raise DomainError("vector is not in the integral LLV lattice")
     if x.is_zero():
         raise DomainError("divisibility of the zero vector")
-    pairings = space.gram_vec(_b_half_delta(space, x, +1).coords())
+    pairings = space.full.gram_vec(_b_half_delta(space, x, +1).coords())
     certify(all(p.denominator == 1 for p in pairings),
             "pairings of a member of Lambda are integers")
     return gcd(*(int(p) for p in pairings))

@@ -121,6 +121,27 @@ def ell_lagrangian(space: LLVSpace, lam, t):
     return main, intro
 
 
+def _lambda_gate(space: LLVSpace, gamma: LLVVector, div: int) -> dict:
+    """Require gamma in Lambda, primitive there, of divisibility ``div``.
+
+    Returns the report entries the gates certify.
+    """
+    if not in_integral_llv(space, gamma):
+        raise NotRealizableError(
+            "gamma must lie in the integral LLV lattice", "membership failed"
+        )
+    if not is_primitive_in_lambda(space, gamma):
+        raise NotRealizableError("gamma must be primitive in the integral "
+                                 "LLV lattice")
+    got = div_in_lambda(space, gamma)
+    if got != div:
+        raise NotRealizableError(
+            f"gamma must have divisibility {div} in the integral LLV lattice",
+            f"got {got}",
+        )
+    return {"lambda_member": True, "lambda_divisibility": div}
+
+
 def _phiO_eta(space: LLVSpace, r0: int, h):
     """Split c1 = (r0 / gcd(r0, 2)) eta with eta integral, or reject."""
     hv = space.h2.vector(h)
@@ -169,26 +190,12 @@ def ell_phiO(space: LLVSpace, r0: int, h):
     s = Fraction(5 * r0**2 + 2 * h_sq, 2 * r0**3)
     gamma = LLVVector.make(2 * r0, tuple(2 * c / r0 for c in hv), s)
     certify(space.pair(gamma, gamma) == -10, "gamma^2 = -10")
-    if not in_integral_llv(space, gamma):
-        raise NotRealizableError(
-            "gamma must lie in the integral LLV lattice", "membership failed"
-        )
-    if not is_primitive_in_lambda(space, gamma):
-        raise NotRealizableError("gamma must be primitive in the integral "
-                                 "LLV lattice")
-    div = div_in_lambda(space, gamma)
-    if div != 2:
-        raise NotRealizableError(
-            "gamma must have divisibility 2 in the integral LLV lattice",
-            f"got {div}",
-        )
     report = {
         "rank": r0**2,
         "eta_sq": eta_sq,
         "congruence": cond,
         "gamma_sq": Fraction(-10),
-        "lambda_divisibility": div,
-    }
+    } | _lambda_gate(space, gamma, 2)
     return LLVLine(gamma), gamma, report
 
 
@@ -292,17 +299,7 @@ def ell_isotropic(space: LLVSpace, r0: int, h, n: int | None = None):
                 "(psi, psi) gcd^2 / (2 r0) = -r0 (mod 4)",
                 f"got {cong} vs -{r0}",
             )
-        if not in_integral_llv(space, gamma):
-            raise NotRealizableError("gamma must lie in the integral LLV "
-                                     "lattice", "membership failed")
-        if not is_primitive_in_lambda(space, gamma):
-            raise NotRealizableError("gamma must be primitive in the "
-                                     "integral LLV lattice")
-        div = div_in_lambda(space, gamma)
-        if div != 1:
-            raise NotRealizableError("gamma must have divisibility 1",
-                                     f"got {div}")
-        report["lambda_divisibility"] = div
+        report |= _lambda_gate(space, gamma, 1)
         report["psi_sq"] = psi_sq
     return LLVLine(gamma), gamma, report
 

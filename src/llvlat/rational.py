@@ -7,20 +7,32 @@ root extraction so they are exact for arbitrary magnitudes.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import isqrt
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 
 Q = Fraction
 
 
 def fmt_q(x: Fraction) -> str:
-    """Render a rational canonically: "p/q", or "p" when the denominator is 1."""
+    """Render a rational canonically: "p/q", or "p" when the denominator is 1.
+
+    Raises DomainError when the numerator or denominator has more digits
+    than Python converts to text (``sys.get_int_max_str_digits()``, 4300 by
+    default).
+    """
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:
+        raise DomainError(
+            f"result has more than {sys.get_int_max_str_digits()} digits, "
+            "Python's limit for integer-to-text conversion"
+        ) from exc
 
 
 def parse_q(text: str) -> Fraction:

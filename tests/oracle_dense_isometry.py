@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from llvlat import _linalg
-from llvlat.lattice import LLVSpace, LLVVector, _gram_full_inverse, make_space
+from llvlat.lattice import LLVSpace, LLVVector, make_space
 
 
 def _columns_to_matrix(cols) -> _linalg.Matrix:
@@ -29,8 +29,12 @@ def _matrix_from_action(space: LLVSpace, act) -> _linalg.Matrix:
     return _columns_to_matrix(cols)
 
 
+def _gram(space: LLVSpace) -> _linalg.Matrix:
+    return _linalg.mat(space.full.gram)
+
+
 def preserves_gram(space: LLVSpace, m: _linalg.Matrix) -> bool:
-    g = space.gram_full()
+    g = _gram(space)
     return _linalg.mat_mul(_linalg.transpose(m), _linalg.mat_mul(g, m)) == g
 
 
@@ -108,8 +112,8 @@ def chi_involution(space: LLVSpace) -> _linalg.Matrix:
 
 
 def inverse(space: LLVSpace, m: _linalg.Matrix) -> _linalg.Matrix:
-    g = space.gram_full()
-    return _linalg.mat_mul(_gram_full_inverse(space),
+    g = _gram(space)
+    return _linalg.mat_mul(_linalg.inverse(g),
                            _linalg.mat_mul(_linalg.transpose(m), g))
 
 

@@ -134,6 +134,19 @@ def test_search_huge_box_exit2(capsys):
     assert err.startswith("domain error: search box too large")
 
 
+def test_ell_huge_result_exit2():
+    # (n+3)^n / (4^n n!) at n = 5000 has more digits than Python renders
+    proc = subprocess.run(
+        [sys.executable, "-m", "llvlat.cli", "ell", "--json",
+         '{"family":"StructureSheaf","type":"HilbK3","n":5000}'],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("domain error: result has more than")
+    assert "digits" in proc.stderr
+
+
 def test_monodromy_ek(capsys):
     code, out, _ = run_cli(["monodromy", "--ek", "2"], capsys)
     assert code == 0
@@ -225,10 +238,18 @@ def test_verify_detects_corrupted_e8(monkeypatch, capsys):
     # nondegenerate Gram, so the detector is the bit-exactness check.
     import llvlat.lattice as lat
 
+    # the presets are memoized: clear them so verify builds its lattices
+    # from the corrupted constant, and again so no later test sees them
     bad = [list(row) for row in lat.E8_NEG_GRAM]
     bad[0][0] = -4
+    lat.make_lattice.cache_clear()
+    lat.make_space.cache_clear()
     monkeypatch.setattr(lat, "E8_NEG_GRAM", tuple(tuple(r) for r in bad))
-    code, out, _ = run_cli(["verify", "--json"], capsys)
+    try:
+        code, out, _ = run_cli(["verify", "--json"], capsys)
+    finally:
+        lat.make_lattice.cache_clear()
+        lat.make_space.cache_clear()
     assert code == 1
     doc = json.loads(out)
     failed = {c["name"] for c in doc["checks"] if not c["ok"]}

@@ -216,3 +216,101 @@ def test_serialization():
     d = lat.to_dict()
     assert d == {"name": "U", "rank": 2, "gram": [0, 1, 1, 0],
                  "labels": ["e1", "f1"]}
+
+
+# --- one sparse Gram format, one inverse, canonical presets ---------------
+
+LATTICE_PRESETS = [("U", None), ("E8neg", None)]
+SPACE_PRESETS = [("K3", 1)] + [("HilbK3", n) for n in range(1, 7)] \
+    + [("Kum", n) for n in range(2, 7)]
+
+
+def _lattices_h2_and_full():
+    """(name, lattice) for every preset, both as h2 and as the full space."""
+    from llvlat import LLVSpace
+
+    for preset, n in LATTICE_PRESETS:
+        lat = make_lattice(preset, n)
+        # the extended space over a lattice-only preset, to test ``full``
+        yield f"{preset}.h2", lat
+        yield f"{preset}.full", LLVSpace(lat, 1, Q(1), "K3").full
+    for preset, n in SPACE_PRESETS:
+        sp = make_space(preset, n)
+        yield f"{preset}({n}).h2", sp.h2
+        yield f"{preset}({n}).full", sp.full
+
+
+def test_gram_times_inverse_is_identity():
+    from llvlat._linalg import identity, mat, mat_mul
+
+    for name, lat in _lattices_h2_and_full():
+        g = mat(lat.gram)
+        assert mat_mul(g, lat.inverse) == identity(lat.rank), name
+        assert mat_mul(lat.inverse, g) == identity(lat.rank), name
+
+
+def test_inverse_raises_on_singular_matrices():
+    from llvlat._linalg import inverse, mat
+
+    for m in ([[0]], [[1, 2], [2, 4]], [[0, 0], [0, 0]],
+              [[1, 1, 0], [1, 1, 0], [0, 0, 1]],
+              [[0, 1, 1], [1, 0, 1], [1, 1, 2]]):
+        with pytest.raises(ValueError):
+            inverse(mat(m))
+
+
+def test_rows_list_the_nonzero_gram_entries():
+    for name, lat in _lattices_h2_and_full():
+        dense = [[0] * lat.rank for _ in range(lat.rank)]
+        for i, row in enumerate(lat.rows):
+            assert all(g != 0 for _, g in row), name
+            for j, g in row:
+                dense[i][j] = g
+        assert tuple(map(tuple, dense)) == lat.gram, name
+
+
+def test_full_gram_is_the_bordered_matrix():
+    from llvlat import LLVSpace
+
+    u = LLVSpace(make_lattice("U"), 1, Q(1), "K3").full
+    assert u.gram == ((0, 0, 0, -1),
+                      (0, 0, 1, 0),
+                      (0, 1, 0, 0),
+                      (-1, 0, 0, 0))
+    assert u.labels == ("alpha", "e1", "f1", "beta")
+    sp = make_space("HilbK3", 2)
+    k = sp.h2.rank
+    expected = [[0] * (k + 2) for _ in range(k + 2)]
+    expected[0][k + 1] = expected[k + 1][0] = -1
+    for i in range(k):
+        for j in range(k):
+            expected[1 + i][1 + j] = sp.h2.gram[i][j]
+    assert sp.full.gram == tuple(map(tuple, expected))
+    assert sp.full.rank == sp.dim == 25
+
+
+def test_full_pairing_and_gram_vec_match_dense():
+    from llvlat._linalg import mat, mat_vec
+
+    rng = random.Random(5)
+    for preset, n in SPACE_PRESETS:
+        sp = make_space(preset, n)
+        g = mat(sp.full.gram)
+        for _ in range(3):
+            x = tuple(Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(sp.dim))
+            y = tuple(Q(rng.randint(-4, 4)) for _ in range(sp.dim))
+            vx, vy = LLVVector.from_coords(x), LLVVector.from_coords(y)
+            dense = sum(a * b for a, b in zip(x, mat_vec(g, y)))
+            assert sp.pair(vx, vy) == sp.full.pair(x, y) == dense
+            assert sp.full.gram_vec(x) == mat_vec(g, x)
+            assert sp.full.gram_vec(y) == mat_vec(g, y)
+
+
+def test_presets_are_canonical():
+    for preset, n in LATTICE_PRESETS:
+        assert make_lattice(preset, n) is make_lattice(preset, n)
+    for preset, n in SPACE_PRESETS:
+        assert make_space(preset, n) is make_space(preset, n)
+        assert make_lattice(preset, n) is make_lattice(preset, n)
+        sp = make_space(preset, n)
+        assert sp.full is sp.full and sp.full.inverse is sp.full.inverse

@@ -1,9 +1,10 @@
+import sys
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, strategies as st
 
-from llvlat.errors import ParseError
+from llvlat.errors import DomainError, ParseError
 from llvlat.rational import (
     fmt_q,
     is_square_int,
@@ -23,6 +24,15 @@ def test_fmt_parse_roundtrip_examples():
         parse_q("1.5e3x")
     with pytest.raises(ParseError):
         parse_q("1/0")
+
+
+def test_fmt_q_refuses_results_beyond_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    big = 10 ** limit  # limit + 1 digits
+    assert fmt_q(Q(big - 1)) == "9" * limit
+    for x in (Q(big), Q(-big, 7), Q(1, big), Q(3, big + 1)):
+        with pytest.raises(DomainError, match=f"more than {limit} digits"):
+            fmt_q(x)
 
 
 @given(st.integers(-10**12, 10**12), st.integers(1, 10**9))
