@@ -24,9 +24,11 @@ integral lattice Z*alpha + H^2(Z) + Z*beta under the unipotent isometry
 B_{-delta/2}; it is the lattice preserved by the derived monodromy group,
 and membership and divisibility in it gate most constructions downstream.
 
-``make_lattice`` and ``make_space`` are memoized on (preset, n), so each
-preset is one canonical object per process and its cached ``rows``,
-``inverse`` and ``full`` are computed once.  All values are immutable and
+``make_lattice`` and ``make_space`` are memoized on (preset, n), with the
+three spellings of the K3 space ("K3", "K3" with n = 1, "HilbK3" with
+n = 1) normalized first, so each preset is one canonical object per
+process and its cached ``rows``, ``inverse`` and ``full`` are computed
+once.  All values are immutable and
 all operations pure.
 """
 
@@ -343,15 +345,22 @@ class LLVSpace:
         )
 
 
-@lru_cache(maxsize=32)
 def make_space(preset: str, n: int = 1) -> LLVSpace:
     """LLV space of a preset deformation type.
 
     "K3" (or "HilbK3" with n = 1) is the K3 surface itself with its Mukai
     lattice of rank 24; "HilbK3" with n >= 2 and "Kum" with n >= 2 give the
-    rank b2 + 2 spaces of the two standard deformation types.
+    rank b2 + 2 spaces of the two standard deformation types.  Every
+    spelling of a space returns the same object.
     """
     if preset == "K3" or (preset == "HilbK3" and n == 1):
+        return _space("K3", 1)
+    return _space(preset, n)
+
+
+@lru_cache(maxsize=32)
+def _space(preset: str, n: int) -> LLVSpace:
+    if preset == "K3":
         return LLVSpace(make_lattice("K3"), 1, Fraction(1), "K3")
     if preset == "HilbK3":
         return LLVSpace(make_lattice("HilbK3", n), n, Fraction(1), "Hilb")
@@ -368,37 +377,52 @@ def _b_half_delta(space: LLVSpace, x: LLVVector, sign: int) -> LLVVector:
     return space.b_lambda_apply(half, x)
 
 
-def in_integral_llv(space: LLVSpace, x: LLVVector) -> bool:
-    """Membership in B_{-delta/2}(Z alpha + H^2(Z) + Z beta)."""
+def _lambda_coords(space: LLVSpace, x: LLVVector) -> tuple | None:
+    """Coordinates of x in the integral LLV lattice, or None outside it.
+
+    In the basis B_{-delta/2}(alpha, H^2 basis..., beta) of Lambda they are
+    the coordinates of B_{delta/2}(x) in the standard basis.
+    """
     if space.dtype != "Hilb":
         raise DomainError("integral LLV lattice implemented for HilbK3 spaces")
-    return _b_half_delta(space, x, +1).is_integral()
+    w = _b_half_delta(space, x, +1)
+    return w.coords() if w.is_integral() else None
 
 
-def div_in_lambda(space: LLVSpace, x: LLVVector) -> int:
-    """Divisibility of a member of the integral LLV lattice.
+def _lambda_gcds(space: LLVSpace, w: tuple) -> tuple[int, int]:
+    """(gcd of the coordinates, divisibility) of a member of Lambda.
 
     Pairings against the generators B_{-delta/2}(standard basis) equal the
     pairings of B_{delta/2}(x) against the standard basis.
     """
-    if not in_integral_llv(space, x):
-        raise DomainError("vector is not in the integral LLV lattice")
-    if x.is_zero():
-        raise DomainError("divisibility of the zero vector")
-    pairings = space.full.gram_vec(_b_half_delta(space, x, +1).coords())
+    pairings = space.full.gram_vec(w)
     certify(all(p.denominator == 1 for p in pairings),
             "pairings of a member of Lambda are integers")
-    return gcd(*(int(p) for p in pairings))
+    return gcd(*(int(c) for c in w)), gcd(*(int(p) for p in pairings))
+
+
+def _member_coords(space: LLVSpace, x: LLVVector) -> tuple:
+    w = _lambda_coords(space, x)
+    if w is None:
+        raise DomainError("vector is not in the integral LLV lattice")
+    return w
+
+
+def in_integral_llv(space: LLVSpace, x: LLVVector) -> bool:
+    """Membership in B_{-delta/2}(Z alpha + H^2(Z) + Z beta)."""
+    return _lambda_coords(space, x) is not None
+
+
+def div_in_lambda(space: LLVSpace, x: LLVVector) -> int:
+    """Divisibility of a member of the integral LLV lattice."""
+    w = _member_coords(space, x)
+    if x.is_zero():
+        raise DomainError("divisibility of the zero vector")
+    return _lambda_gcds(space, w)[1]
 
 
 def is_primitive_in_lambda(space: LLVSpace, x: LLVVector) -> bool:
-    if not in_integral_llv(space, x):
-        raise DomainError("vector is not in the integral LLV lattice")
-    w = _b_half_delta(space, x, +1)
-    d = 0
-    for c in w.coords():
-        d = gcd(d, int(c))
-    return d == 1
+    return _lambda_gcds(space, _member_coords(space, x))[0] == 1
 
 
 def orbit_invariants_equal(lattice: QuadLattice, x, y) -> bool:

@@ -21,13 +21,7 @@ from . import cohomology as coh
 from .errors import DomainError, NotRealizableError, certify
 from .harmonic import project_harmonic
 from .isometry import b_lambda, duality_D
-from .lattice import (
-    LLVSpace,
-    LLVVector,
-    div_in_lambda,
-    in_integral_llv,
-    is_primitive_in_lambda,
-)
+from .lattice import LLVSpace, LLVVector, _lambda_coords, _lambda_gcds
 
 Q = Fraction
 
@@ -124,16 +118,18 @@ def ell_lagrangian(space: LLVSpace, lam, t):
 def _lambda_gate(space: LLVSpace, gamma: LLVVector, div: int) -> dict:
     """Require gamma in Lambda, primitive there, of divisibility ``div``.
 
+    All three are read off one coordinate vector B_{delta/2}(gamma).
     Returns the report entries the gates certify.
     """
-    if not in_integral_llv(space, gamma):
+    w = _lambda_coords(space, gamma)
+    if w is None:
         raise NotRealizableError(
             "gamma must lie in the integral LLV lattice", "membership failed"
         )
-    if not is_primitive_in_lambda(space, gamma):
+    content, got = _lambda_gcds(space, w)
+    if content != 1:
         raise NotRealizableError("gamma must be primitive in the integral "
                                  "LLV lattice")
-    got = div_in_lambda(space, gamma)
     if got != div:
         raise NotRealizableError(
             f"gamma must have divisibility {div} in the integral LLV lattice",

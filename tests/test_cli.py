@@ -243,13 +243,13 @@ def test_verify_detects_corrupted_e8(monkeypatch, capsys):
     bad = [list(row) for row in lat.E8_NEG_GRAM]
     bad[0][0] = -4
     lat.make_lattice.cache_clear()
-    lat.make_space.cache_clear()
+    lat._space.cache_clear()
     monkeypatch.setattr(lat, "E8_NEG_GRAM", tuple(tuple(r) for r in bad))
     try:
         code, out, _ = run_cli(["verify", "--json"], capsys)
     finally:
         lat.make_lattice.cache_clear()
-        lat.make_space.cache_clear()
+        lat._space.cache_clear()
     assert code == 1
     doc = json.loads(out)
     failed = {c["name"] for c in doc["checks"] if not c["ok"]}

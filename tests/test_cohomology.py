@@ -298,3 +298,113 @@ def test_ring_matches_dense_oracle(spec_x, spec_y):
     low_d = _ORACLE.add(_ORACLE.add(_ORACLE.scalar(x.a0), _ORACLE.h2(x.a2)), ch2_d)
     _check_cup(low, y, low_d, y_d)
     _check_cup(low, low, low_d, low_d)
+
+
+# --- H^4 as S + c G^-1: canonical equality, byte-stable output, triples
+
+def _ginv_scaled(c):
+    return [[c * v for v in row] for row in _SP.h2.inverse]
+
+
+def test_symbolic_c2_equals_its_dense_matrix():
+    c2 = coh.c2_class(_SP)
+    assert (c2.s4, c2.c4) == ({}, Q(6, 5))
+    dense = coh.sym2_class(_SP, _ginv_scaled(Q(6, 5)))
+    assert dense.c4 == 0 and len(dense.s4) == len(c2.a4)
+    assert dense == c2 and c2 == dense
+    assert dense.a4 == c2.a4
+    assert not dense != c2
+
+
+def test_dense_inverse_plus_rank_one_equals_symbolic_sum():
+    h = _vec([(0, 1), (1, 3), (22, Q(1, 2))])
+    m = _ginv_scaled(Q(1))
+    for i in range(_K):
+        for j in range(_K):
+            m[i][j] += h[i] * h[j]
+    hc = coh.h2_class(_SP, h)
+    rhs = 23 * coh.b_invariant_class(_SP) + coh.cup(hc, hc)
+    assert coh.sym2_class(_SP, m) == rhs
+    assert rhs == coh.sym2_class(_SP, m)
+    assert densify(rhs) == densify(coh.sym2_class(_SP, m))
+
+
+def test_h4_parts_differing_by_a_non_multiple_compare_unequal():
+    c2 = coh.c2_class(_SP)
+    # the same support as G^-1 with one symmetric pair of entries altered
+    for (i, j) in ((0, 1), (22, 22), (6, 7)):
+        m = _ginv_scaled(Q(6, 5))
+        m[i][j] += 1
+        if i != j:
+            m[j][i] += 1
+        assert coh.sym2_class(_SP, m) != c2
+        assert c2 != coh.sym2_class(_SP, m)
+    # a multiple of G^-1 other than the symbol's
+    assert coh.sym2_class(_SP, _ginv_scaled(Q(7, 5))) != c2
+    hc = coh.h2_class(_SP, _vec([(2, 1)]))
+    assert c2 + coh.cup(hc, hc) != c2
+    assert coh.cup(hc, hc) != coh.zero_class(_SP)
+    # pieces outside H^4 still count
+    assert c2 + coh.point_class(_SP, 1) != c2
+
+
+def test_h4_zero_in_normal_form():
+    # S = -c G^-1 is the zero class: equal to zero, and of no degree
+    z = coh.sym2_class(_SP, _ginv_scaled(Q(-1))) + 23 * coh.b_invariant_class(_SP)
+    assert z.s4 and z.c4 == 1
+    assert z == coh.zero_class(_SP) and z.a4 == {}
+    pt = coh.point_class(_SP, 1)
+    assert coh.cup(z, pt) == coh.zero_class(_SP)
+    assert coh.cup(z + coh.h2_class(_SP, _vec([(0, 1)])), coh.deg6_class(
+        _SP, _vec([(1, 1)]))).a8 == 1
+    with pytest.raises(DomainError):
+        coh.cup(z + coh.c2_class(_SP), pt)
+
+
+# SHA-256 of the to_dict JSON, captured when c2 was a dense Sym^2 matrix
+_FROZEN_TO_DICT = {
+    "c2": "bc5bc1de438ff61c3878cf5b4552448f92eb47e9272ea4b7a0fd050d43aa023a",
+    "sqrt_td * inv_sqrt":
+        "764d98de295ba3ea58464049b2c2169bdaafba0a53b694023bdfef31167b439b",
+    "td": "4f062562e7d178a0eaaf2f14ea7d98a78062f15ed3b3daba9476989743615d86",
+    "sqrt_td": "d6788af4023ac5641302a9f5122080203f3d17567f10f91ab2027c1ccfad3f2f",
+    "inv_sqrt": "b0ab03454c4b9c089371da0d3b32088ae39c5d3d6149fecf2db30b35d5276389",
+}
+
+
+def test_to_dict_byte_identical_to_dense_form():
+    import hashlib
+    import json
+
+    td, sqrt_td, inv_sqrt = coh.todd_data(_SP)
+    classes = {"c2": coh.c2_class(_SP),
+               "sqrt_td * inv_sqrt": coh.cup_manifold(sqrt_td, inv_sqrt),
+               "td": td, "sqrt_td": sqrt_td, "inv_sqrt": inv_sqrt}
+    for name, x in classes.items():
+        digest = hashlib.sha256(json.dumps(x.to_dict()).encode()).hexdigest()
+        assert digest == _FROZEN_TO_DICT[name], name
+    assert td.s4 == {} and sqrt_td.s4 == {} and inv_sqrt.s4 == {}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(_sparse_vec, _sparse_vec, _sparse_vec)
+def test_deg6_from_triple_matches_ring(e1, e2, e3):
+    x1, x2, x3 = _vec(e1), _vec(e2), _vec(e3)
+    h = [coh.h2_class(_SP, x) for x in (x1, x2, x3)]
+    assert coh.deg6_from_triple(_SP, x1, x2, x3) == \
+        coh.cup(coh.cup(h[0], h[1]), h[2])
+
+
+def test_deg6_from_triple_pairs_three_times(monkeypatch):
+    from llvlat.lattice import QuadLattice
+
+    calls = []
+    real = QuadLattice.pair
+
+    def counting(self, x, y):
+        calls.append(1)
+        return real(self, x, y)
+
+    monkeypatch.setattr(QuadLattice, "pair", counting)
+    coh.deg6_from_triple(_SP, _vec([(0, 1)]), _vec([(1, 2)]), _vec([(3, 1)]))
+    assert len(calls) == 3

@@ -314,3 +314,66 @@ def test_presets_are_canonical():
         assert make_lattice(preset, n) is make_lattice(preset, n)
         sp = make_space(preset, n)
         assert sp.full is sp.full and sp.full.inverse is sp.full.inverse
+
+
+def test_k3_space_spellings_are_one_object():
+    k3 = make_space("K3")
+    assert make_space("K3", 1) is k3
+    assert make_space("HilbK3", 1) is k3
+    assert make_space(preset="HilbK3", n=1) is k3
+    assert k3.full is make_space("HilbK3", 1).full
+    assert k3.h2 is make_lattice("K3")
+    assert (k3.n, k3.dtype) == (1, "K3")
+    assert make_space("HilbK3", 2) is not k3
+
+
+def test_lambda_gates_read_one_b_half_delta(monkeypatch):
+    # membership, primitivity and divisibility are read off one
+    # B_{delta/2}(x) per call, in each public function and in the gate
+    import llvlat.lattice as lat
+    from llvlat import ell_isotropic, ell_phiO
+
+    sp = make_space("HilbK3", 2)
+    calls = []
+    real = lat._b_half_delta
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lat, "_b_half_delta", counting)
+    gamma0 = LLVVector.make(2, (0,) * 23, Q(5, 2))
+    for fn, want in ((in_integral_llv, True), (div_in_lambda, 2),
+                     (is_primitive_in_lambda, True)):
+        calls.clear()
+        assert fn(sp, gamma0) == want
+        assert len(calls) == 1, fn.__name__
+    for build in (lambda: ell_phiO(sp, 1, (0,) * 23),
+                  lambda: ell_isotropic(sp, 1, (0,) * 22 + (1,))):
+        calls.clear()
+        build()
+        assert len(calls) == 1
+
+
+def test_lambda_gate_refusals_unchanged():
+    from llvlat import NotRealizableError
+    from llvlat.lines import _lambda_gate
+
+    sp = make_space("HilbK3", 2)
+    gamma0 = LLVVector.make(2, (0,) * 23, Q(5, 2))
+    assert _lambda_gate(sp, gamma0, 2) == {"lambda_member": True,
+                                           "lambda_divisibility": 2}
+    with pytest.raises(NotRealizableError, match="divisibility 1 in the "
+                       "integral LLV lattice.*got 2"):
+        _lambda_gate(sp, gamma0, 1)
+    with pytest.raises(NotRealizableError, match="must be primitive"):
+        _lambda_gate(sp, 2 * gamma0, 4)
+    with pytest.raises(NotRealizableError, match="must lie in the integral"):
+        _lambda_gate(sp, sp.alpha(), 1)
+    with pytest.raises(DomainError, match="not in the integral LLV lattice"):
+        div_in_lambda(sp, sp.alpha())
+    with pytest.raises(DomainError, match="not in the integral LLV lattice"):
+        is_primitive_in_lambda(sp, sp.alpha())
+    with pytest.raises(DomainError, match="divisibility of the zero vector"):
+        div_in_lambda(sp, LLVVector.make(0, (0,) * 23, 0))
+    assert not is_primitive_in_lambda(sp, 2 * gamma0)
