@@ -32,12 +32,10 @@ from .lattice import (
     orbit_invariants_equal,
 )
 from .isometry import (
-    Endo,
     Isometry,
     b_lambda,
     det_and_orientation,
     duality_D,
-    e_lambda,
     eta_extend,
     identity_isometry,
     isometry_from_rows,

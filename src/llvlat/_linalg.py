@@ -1,9 +1,10 @@
 """Small exact linear algebra over Fraction and over the integers.
 
-Dense tuple-of-tuples matrices; every space in the toolkit has dimension
-at most 25, so nothing clever is needed.  The integer routines serve
-matrices stored as a numerator matrix over one common denominator.  All
-routines are pure.
+Every matrix the library multiplies is an integer matrix over one common
+denominator (``IntMatrix``, built by ``to_int_matrix``), and ``int_det`` is
+its one determinant.  ``inverse`` and ``signature`` take rows of ints or
+Fractions and eliminate over Fraction.  Every space in the toolkit has
+dimension at most 25, so nothing clever is needed.  All routines are pure.
 """
 
 from __future__ import annotations
@@ -13,74 +14,7 @@ from math import lcm
 from operator import mul
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-Vector = tuple[Fraction, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
-
-
-def mat(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    # row-major accumulation skipping zero entries; the Gram and unipotent
-    # matrices here are sparse, so this saves most of the Fraction work
-    m = len(b[0])
-    out = []
-    for row in a:
-        acc = [Fraction(0)] * m
-        for k, x in enumerate(row):
-            if x:
-                bk = b[k]
-                for j, y in enumerate(bk):
-                    if y:
-                        acc[j] += x * y
-        out.append(tuple(acc))
-    return tuple(out)
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(
-        sum((x * y for x, y in zip(row, v) if x and y), Fraction(0))
-        for row in a
-    )
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def det(a: Matrix) -> Fraction:
-    """Determinant by exact Gaussian elimination with partial pivoting."""
-    n = len(a)
-    rows = [list(r) for r in a]
-    d = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            d = -d
-        d *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col] == 0:
-                continue
-            f = rows[r][col] * inv
-            for c in range(col, n):
-                rows[r][c] -= f * rows[col][c]
-    return d
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -400,8 +400,5 @@ def psi(x: CohClass, ctx: GeneratorContext | None = None) -> ReducedSymElement:
 
 def llv_vector_to_reduced(ctx: GeneratorContext, x: LLVVector) -> ReducedSymElement:
     """Degree-1 element of the full-basis context with the given coordinates."""
-    out = ReducedSymElement.zero(ctx)
-    for i, c in enumerate(x.coords()):
-        if c:
-            out = out + ReducedSymElement.monomial(ctx, (i,), c)
-    return out
+    return ReducedSymElement(
+        ctx, {(0, (i,)): Fraction(c) for i, c in enumerate(x.coords()) if c})

@@ -339,19 +339,19 @@ def recover_line(h: ReducedSymElement) -> LLVVector:
     return LLVVector.make(r, lam, s)
 
 
-@lru_cache(maxsize=8)
 def qtilde_full_expansion(ctx: GeneratorContext) -> ReducedSymElement:
     """qt written out over a generator list that is the full standard basis.
 
     Valid when ctx.gens is exactly (alpha, h2 basis vectors..., beta); qt is
     then (1/N) times the dual metric tensor of the full space.
     """
-    space = ctx.space
-    expected = (space.alpha(),) + tuple(
-        space.h2_basis_vector(i) for i in range(space.h2.rank)
-    ) + (space.beta(),)
-    if ctx.gens != expected:
+    if ctx.gens != full_context(ctx.space).gens:
         raise DomainError("qtilde expansion needs the standard full basis context")
+    return ReducedSymElement(ctx, dict(_qtilde_terms(ctx.space)))
+
+
+@lru_cache(maxsize=8)
+def _qtilde_terms(space: LLVSpace) -> dict[Key, Fraction]:
     ginv = space.full.inverse
     n_amb = space.dim
     terms: dict[Key, Fraction] = {}
@@ -360,19 +360,20 @@ def qtilde_full_expansion(ctx: GeneratorContext) -> ReducedSymElement:
             c = ginv[i][j] * (1 if i == j else 2)
             if c:
                 terms[(0, (i, j))] = Fraction(c, n_amb)
-    return ReducedSymElement(ctx, terms)
+    return terms
 
 
 def expand_qtilde(x: ReducedSymElement) -> ReducedSymElement:
     """Replace formal qt powers by the explicit dual-metric tensor."""
     qt = qtilde_full_expansion(x.ctx)
-    out = ReducedSymElement.zero(x.ctx)
+    out: dict[Key, Fraction] = {}
     for (j, m), c in x.terms.items():
         term = ReducedSymElement.monomial(x.ctx, m, c)
         for _ in range(j):
             term = term * qt
-        out = out + term
-    return out
+        for k, v in term.terms.items():
+            _add(out, k, v)
+    return ReducedSymElement(x.ctx, out)
 
 
 @lru_cache(maxsize=8)

@@ -3,7 +3,8 @@
 An isometry M is stored as an integer matrix N over a positive integer
 denominator d, M = N / d, in the basis order (alpha, h2 basis..., beta),
 normalised so that gcd(N, d) = 1; equal isometries therefore have equal
-(N, d).  The rational matrix ``m`` is built from them on first use.
+(N, d).  The library reads only N and d; the rational matrix ``m`` is
+built from them on first use, for callers.
 
 Construction checks Gram compatibility exactly, as N^T G N = d^2 G over
 the integers: G N is accumulated row by row over the sparse Gram rows of
@@ -33,20 +34,6 @@ from operator import mul
 from . import _linalg
 from .errors import DomainError, certify
 from .lattice import LLVSpace, LLVVector, make_space
-
-
-@dataclass(frozen=True)
-class Endo:
-    """Plain linear endomorphism (no Gram condition), e.g. e_lambda."""
-
-    space: LLVSpace
-    m: _linalg.Matrix
-
-    def apply(self, x: LLVVector) -> LLVVector:
-        return LLVVector.from_coords(_linalg.mat_vec(self.m, x.coords()))
-
-    def compose(self, other: "Endo") -> "Endo":
-        return Endo(self.space, _linalg.mat_mul(self.m, other.m))
 
 
 def _gram_times(space: LLVSpace, num: _linalg.IntMatrix) -> list:
@@ -134,7 +121,8 @@ class Isometry:
     def to_rows(self) -> list[list[str]]:
         from .rational import fmt_q
 
-        return [[fmt_q(x) for x in row] for row in self.m]
+        q = {x: fmt_q(Fraction(x, self.den)) for x in set(chain(*self.num))}
+        return [[q[x] for x in row] for row in self.num]
 
     def to_dict(self) -> dict:
         # construction already validated Gram compatibility, so the flag
@@ -162,17 +150,6 @@ def isometry_from_rows(space: LLVSpace, rows) -> Isometry:
 
 def identity_isometry(space: LLVSpace) -> Isometry:
     return _isometry(space, _scaled_identity(space.dim, 1), 1)
-
-
-def e_lambda(space: LLVSpace, lam) -> Endo:
-    """The nilpotent operator with alpha -> lam, mu -> (lam, mu) beta, beta -> 0."""
-    lam = space.h2.vector(lam)
-    k = space.h2.rank
-    rows = [[Fraction(0)] * space.dim for _ in range(space.dim)]
-    for i, (c, p) in enumerate(zip(lam, space.h2.gram_vec(lam))):
-        rows[1 + i][0] = c
-        rows[k + 1][1 + i] = Fraction(p)
-    return Endo(space, tuple(map(tuple, rows)))
 
 
 def b_lambda(space: LLVSpace, lam) -> Isometry:
@@ -260,9 +237,9 @@ def det_and_orientation(g: Isometry) -> tuple[int, int]:
         LLVVector.make(0, tuple(a + b for a, b in zip(h2v(2), h2v(3))), 0),
         LLVVector.make(0, tuple(a + b for a, b in zip(h2v(4), h2v(5))), 0),
     ]
-    gram = _linalg.mat(
-        [[space.pair(g.apply(w), w2) for w2 in frame] for w in frame]
-    )
-    d = _linalg.det(gram)
+    # the common denominator of the frame pairings is positive: same sign
+    gram, _ = _linalg.to_int_matrix(
+        [[space.pair(g.apply(w), w2) for w2 in frame] for w in frame])
+    d = _linalg.int_det(gram)
     certify(d != 0, "an isometry keeps the positive frame nondegenerate")
     return g.det(), (1 if d > 0 else -1)

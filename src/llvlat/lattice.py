@@ -93,7 +93,7 @@ class QuadLattice:
     @cached_property
     def inverse(self) -> _linalg.Matrix:
         """Exact inverse of the Gram matrix."""
-        return _linalg.inverse(_linalg.mat(self.gram))
+        return _linalg.inverse(self.gram)
 
     def pair(self, x, y) -> Fraction:
         # over the integers: x = xs / a and y = ys / b
@@ -143,7 +143,7 @@ class QuadLattice:
         return d == 1
 
     def signature(self) -> tuple[int, int]:
-        pos, neg, zero = _linalg.signature(_linalg.mat(self.gram))
+        pos, neg, zero = _linalg.signature(self.gram)
         if zero:
             raise DomainError(f"lattice {self.name} is degenerate")
         return pos, neg

@@ -5,7 +5,7 @@ symmetric rank x rank matrix.  Products go piece by piece: every pair of
 nonzero graded pieces is multiplied by its own rule (contraction, sharp,
 Sym^2 pairing as explicit matrix products) and the results are summed.
 Nothing here uses the sparse H^4 storage or the degree-by-degree product of
-``llvlat.cohomology``; only the Gram matrix, the exact matrix routines and
+``llvlat.cohomology``; only the Gram matrix, its exact inverse and
 the harmonic element type are shared.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import dense
 from llvlat import _linalg
 from llvlat.errors import DomainError
 from llvlat.harmonic import ReducedSymElement
@@ -23,10 +24,10 @@ class DenseRing:
     def __init__(self, space):
         self.space = space
         self.k = space.h2.rank
-        self.g = _linalg.mat(space.h2.gram)
+        self.g = dense.mat(space.h2.gram)
         ginv = _linalg.inverse(self.g)
-        self.c2 = self.sym2(_linalg.mat_scale(Fraction(6, 5), ginv))
-        self.b = self.sym2(_linalg.mat_scale(Fraction(1, 23), ginv))
+        self.c2 = self.sym2(dense.mat_scale(Fraction(6, 5), ginv))
+        self.b = self.sym2(dense.mat_scale(Fraction(1, 23), ginv))
         one, pt = self.scalar(1), self.point(1)
         self.sqrt_td = self.add(self.add(one, self.scale(Fraction(1, 24), self.c2)),
                                 self.scale(Fraction(25, 32), pt))
@@ -52,7 +53,7 @@ class DenseRing:
 
     def sym2(self, m):
         a0, a2, _, a6, a8 = self.zero()
-        return (a0, a2, _linalg.mat(m), a6, a8)
+        return (a0, a2, dense.mat(m), a6, a8)
 
     def deg6(self, w):
         a0, a2, a4, _, a8 = self.zero()
@@ -93,7 +94,7 @@ class DenseRing:
     # -- the piece-by-piece product
 
     def pair(self, x, y):
-        return sum(a * b for a, b in zip(x, _linalg.mat_vec(self.g, y)))
+        return sum(a * b for a, b in zip(x, dense.mat_vec(self.g, y)))
 
     def contract_full(self, a4):
         """c(A) = trace(A G)."""
@@ -102,12 +103,12 @@ class DenseRing:
 
     def sharp(self, a4, x):
         """A G x."""
-        return _linalg.mat_vec(a4, _linalg.mat_vec(self.g, x))
+        return dense.mat_vec(a4, dense.mat_vec(self.g, x))
 
     def sym2_inner(self, a4, b4):
         """trace(A G B G)."""
-        ag = _linalg.mat_mul(a4, self.g)
-        bg = _linalg.mat_mul(b4, self.g)
+        ag = dense.mat_mul(a4, self.g)
+        bg = dense.mat_mul(b4, self.g)
         return sum(ag[i][j] * bg[j][i] for i in range(self.k) for j in range(self.k))
 
     def piece(self, x, d):

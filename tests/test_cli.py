@@ -215,6 +215,14 @@ FROZEN_CLI = [
     (["search", "--max-lambda-sq", "2000", "--max-c", "100000",
       "--div", "2"], 0,
      "30ac1b92dc41f41f829912730fee718eb56ef9d683b40129cac0e5e52502c072"),
+    # the matrix rows print through Isometry.to_rows
+    (["monodromy", "--chi-involution", "2"], 0,
+     "51e5e206b07a74251162a87d422eb2c982c6f7a9249b10d89ecdf3533d0e704f"),
+    (["monodromy", "--chi-involution", "5"], 0,
+     "0484397761993aa682f4a010c064774dacd7f81e8f3aee8e6e49fa88f9ff0d56"),
+    # the signature is computed on the integer Gram
+    (["lattice", "--preset", "HilbK3", "--n", "2"], 0,
+     "a1cf4667e1f31d84bdd7349eaa9c13b176877dfa88879b95f86dfcd199c57d9c"),
 ]
 
 

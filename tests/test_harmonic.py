@@ -252,6 +252,15 @@ def test_qtilde_expansion_requires_full_context():
     ctx = GeneratorContext(sp, (sp.alpha(), sp.beta()))
     with pytest.raises(DomainError):
         qtilde_full_expansion(ctx)
+    # a context equal to the standard one, built apart from it, expands
+    # over itself to the same tensor; the cached tensor is not shared
+    fc = full_context(sp)
+    twin = GeneratorContext(sp, tuple(fc.gens))
+    qt, qt_twin = qtilde_full_expansion(fc), qtilde_full_expansion(twin)
+    assert qt_twin.ctx is twin and qt_twin == qt
+    assert qt_twin.terms is not qt.terms
+    # (1/N) G^-1 over the full basis: alpha beta pairs to -1 in G^-1
+    assert qt.coeff((0, sp.dim - 1)) == Q(-2, sp.dim)
 
 
 def test_inhomogeneous_rejected():

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import dense
 import oracle_dense_isometry as oracle
 from llvlat import (
     DomainError,
@@ -14,15 +15,13 @@ from llvlat import (
     det_and_orientation,
     dmon_lift,
     duality_D,
-    e_lambda,
     eta_extend,
     identity_isometry,
     make_space,
     phi_p,
     reflection,
 )
-from llvlat import _linalg
-from llvlat._linalg import identity
+from dense import identity
 
 
 def rand_h2(rng, space, lo=-3, hi=3):
@@ -41,18 +40,19 @@ def test_gram_compat_rejected():
 def test_e_lambda_rules():
     sp = make_space("HilbK3", 2)
     lam = rand_h2(random.Random(0), sp)
-    e = e_lambda(sp, lam)
-    assert e.apply(sp.alpha()) == LLVVector.make(0, lam, 0)
-    assert e.apply(sp.beta()).is_zero()
+
+    def e(x):
+        return sp.e_lambda_apply(lam, x)
+
+    assert e(sp.alpha()) == LLVVector.make(0, lam, 0)
+    assert e(sp.beta()).is_zero()
     mu = rand_h2(random.Random(1), sp)
-    img = e.apply(LLVVector.make(0, mu, 0))
+    img = e(LLVVector.make(0, mu, 0))
     assert img == LLVVector.make(0, (0,) * 23, sp.h2.pair(lam, mu))
-    ee = e.compose(e)
-    assert ee.apply(sp.alpha()) == LLVVector.make(
-        0, (0,) * 23, sp.h2.pair(lam, lam)
-    )
-    eee = ee.compose(e)
-    assert all(x == 0 for row in eee.m for x in row)
+    assert e(e(sp.alpha())) == LLVVector.make(0, (0,) * 23, sp.h2.pair(lam, lam))
+    basis = [sp.alpha(), sp.beta()] + [sp.h2_basis_vector(i) for i in range(23)]
+    for x in basis:
+        assert e(e(e(x))).is_zero()
 
 
 def test_b_homomorphism_random():
@@ -145,6 +145,18 @@ def test_det_and_orientation():
     # reflection in a negative vector fixing the positive frame
     u = LLVVector.make(0, sp.delta(), 0)
     assert det_and_orientation(reflection(sp, u)) == (-1, 1)
+
+
+def test_orientation_on_fractional_frame_pairings():
+    # reflections in positive vectors reverse the orientation; here the
+    # frame pairings have denominators 3 and 7, which the sign must survive
+    sp = make_space("Kum", 2)
+    for r, e1, f1, s in ((1, 2, Q(1, 3), Q(-1, 2)), (0, 1, Q(1, 3), 2)):
+        u = LLVVector.make(r, (e1, f1) + (0,) * 5, s)
+        assert sp.pair(u, u) > 0
+        g = reflection(sp, u)
+        assert det_and_orientation(g) == (-1, -1)
+        assert oracle.det_and_orientation(sp, g.m) == (-1, -1)
 
 
 def test_orientation_multiplicative_on_words():
@@ -255,7 +267,7 @@ def _word(draw, space, max_size):
         assert h.m == hm
         assert oracle.preserves_gram(space, hm)
     for h, hm in letters[1:]:
-        g, m = g.compose(h), _linalg.mat_mul(m, hm)
+        g, m = g.compose(h), dense.mat_mul(m, hm)
     assert g.m == m
     return g, m
 
@@ -265,10 +277,9 @@ def _word(draw, space, max_size):
 def test_constructors_match_dense_oracle(data):
     space = make_space(*data.draw(st.sampled_from(_PRESETS)))
     g, m = _word(data.draw, space, 3)
-    lam = _h2_vec(data.draw, space)
-    assert e_lambda(space, lam).m == oracle.e_lambda(space, lam)
     assert Isometry(space, m) == g
-    assert g.det() == _linalg.det(m)
+    assert g.det() == dense.det(m)
+    assert det_and_orientation(g) == oracle.det_and_orientation(space, m)
     assert g.inverse().m == oracle.inverse(space, m)
     x = _llv_vec(data.draw, space)
     assert g.apply(x) == oracle.apply(m, x)
@@ -293,14 +304,16 @@ def test_dmon_lift_matches_dense_oracle(data, n):
     g, m = _word(data.draw, k3, 3)
     assert eta_extend(g, n).m == oracle.eta_extend(m, n)
     lift = dmon_lift(g, n).lifted
-    dense = oracle.dmon_lift(m, n)
-    assert lift.m == dense
+    lift_m = oracle.dmon_lift(m, n)
+    assert lift.m == lift_m
     space = lift.space
     chi, chi_m = chi_involution(space), oracle.chi_involution(space)
     assert chi.m == chi_m
-    result, result_m = chi.compose(lift), _linalg.mat_mul(chi_m, dense)
+    result, result_m = chi.compose(lift), dense.mat_mul(chi_m, lift_m)
     assert result.m == result_m
-    assert result.det() == _linalg.det(result_m)
+    assert result.det() == dense.det(result_m)
+    assert det_and_orientation(result) == \
+        oracle.det_and_orientation(space, result_m)
     assert result.inverse().m == oracle.inverse(space, result_m)
     x = _llv_vec(data.draw, space)
     assert result.apply(x) == oracle.apply(result_m, x)

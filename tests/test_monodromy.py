@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from dense import identity
 from llvlat import (
     DomainError,
     LLVLine,
@@ -21,7 +22,6 @@ from llvlat import (
     phi_p,
     reflection,
 )
-from llvlat._linalg import identity
 
 
 @pytest.fixture(scope="module")
