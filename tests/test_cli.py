@@ -223,6 +223,36 @@ FROZEN_CLI = [
     # the signature is computed on the integer Gram
     (["lattice", "--preset", "HilbK3", "--n", "2"], 0,
      "a1cf4667e1f31d84bdd7349eaa9c13b176877dfa88879b95f86dfcd199c57d9c"),
+    # one ell request per family, each field read through the typed readers
+    (["ell", "--json", '{"family":"StructureSheaf","type":"Kum","n":3}'], 0,
+     "3b4bb6e5fe7ee36e23885f5ca85332ee1cc57e95e09ce8d719408dc7fbc516ee"),
+    (["ell", "--json", '{"family":"Skyscraper","type":"Kum","n":2}'], 0,
+     "ed56a0979fc647c44a6363a4bbe642c4d7f52e9cda5a08d3c9fd64fe943a9f45"),
+    (["ell", "--json",
+      '{"family":"Lagrangian","lambda":"2*e1+3*f1-d","t":"1/2"}'], 0,
+     "0e3e99a7f42362af369164d810a88e9c21a7bf343b2c23e220907c06963231a4"),
+    (["ell", "--json", '{"family":"PhiO","r0":3,"h":"3*e1+3*f1"}'], 0,
+     "0095aed7828d137de98e60bfc048e8aa10f1991fadb6593236e8a69fbdd81192"),
+    (["ell", "--json", '{"family":"Isotropic","r0":1,"h":"2*e1+2*f1+d"}'], 0,
+     "7c96e3f4383f1189dbc6395f102c2f135c06780e2f3f71a389c9061096bc595d"),
+    (["ell", "--json",
+      '{"family":"Isotropic","n":3,"r0":2,"h":"e1+f1-2*d"}'], 0,
+     "873ff0e62c8163acf4f201dda0f6ea4d975ad758f0b16986768a7f805b34ded5"),
+    (["ell", "--json", '{"family":"KappaTriple","x":1,"y":1,"z":1}'], 0,
+     "f4b384e72c79115dfbd71e92065cc94b71bceed0cc021b55cf68aa72850bb4c9"),
+    (["ell", "--json", '{"family":"KappaTriple","x":4,"y":"-1/8",'
+      '"z":"177/128","c1":"e1+2*f1"}'], 0,
+     "a676c72e86d8cbdf37f06787caf802114f0de8b6355f150cfeff5536afa6aa8e"),
+    (["chern", "--family", "isotropic", "--r0", "1", "--h", "2*e1+2*f1+d"], 0,
+     "d18776f642283466666eb6233fa3af291ca670d9b45d10430a31d922b42d7db2"),
+    # the same eta as --h-sq 18 above, given as a vector: the same bytes
+    (["chern", "--family", "phiO", "--r0", "3", "--h", "3*e1+3*f1"], 0,
+     "ed47b68b0ff578b4da5cdb82b9d9b1c0b2592e57eb7f977b5a2da0e13fe4c745"),
+    (["monodromy", "--bkr-r0", "2", "--n", "3"], 0,
+     "c09bdd3413c978c7505807ae2e4310f1097479ad50292451584c4a721599d147"),
+    (["monodromy", "--bkr-r0", "3", "--n", "2", "--c1g", "e1+f1",
+      "--sign", "-"], 0,
+     "e1709b71759bdea0b539d0297977b4803558f999763c3127a197ac6dbbf55056"),
 ]
 
 
