@@ -39,7 +39,7 @@ from math import gcd, isqrt
 from . import cohomology as coh
 from .errors import DomainError, InadmissibleError, certify
 from .lattice import LLVSpace
-from .rational import sqrt_rational
+from .rational import fmt_q, sqrt_rational
 
 Q = Fraction
 
@@ -73,15 +73,15 @@ def lagrangian_data(space: LLVSpace, lambda_sq, chiZ: int, lam=None,
         raise InadmissibleError("chi(Z) must be positive")
     m = sqrt_rational(Fraction(chiZ, 3))
     if m is None:
-        raise InadmissibleError(f"chi(Z)/3 = {Fraction(chiZ, 3)} is not a "
-                                "rational square")
+        raise InadmissibleError(f"chi(Z)/3 = {fmt_q(Fraction(chiZ, 3))} is "
+                                "not a rational square")
     c = Fraction(5, 4 * abs(q)) * m
     t_sq = Fraction(48, 25) * c - Fraction(6, 5 * q)
     if t_sq < 0:
-        raise InadmissibleError(f"t^2 = {t_sq} < 0")
+        raise InadmissibleError(f"t^2 = {fmt_q(t_sq)} < 0")
     t = sqrt_rational(t_sq)
     if t is None:
-        raise InadmissibleError(f"t^2 = {t_sq} is not a rational square")
+        raise InadmissibleError(f"t^2 = {fmt_q(t_sq)} is not a rational square")
     sign = 1 if q > 0 else -1
     chi_oz = Fraction(chiZ - sign * m, 4)
 

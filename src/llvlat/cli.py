@@ -3,101 +3,132 @@
 Subcommands mirror the library one-to-one; this module only parses,
 dispatches and prints.  Output is byte-stable: JSON with sorted keys,
 rationals rendered "p/q".  Exit codes: 0 success, 1 verification failure,
-2 domain error (congruence or admissibility), 3 parse error.
+2 domain error (congruence or admissibility, or a number with more digits
+than Python prints), 3 parse error.
+
+Every subcommand gets one request dict: the ``ell --json`` document, or the
+flags given, keyed as spelled ("--chi-z").  Its fields are read only through
+four typed readers, ``_int``, ``_q``, ``_h2`` and ``_name``; each raises
+ParseError on a missing field or a value of another type.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
 from . import arith, golden, lines, monodromy as mono
 from .errors import CertificateError, DomainError, ParseError
-from .lattice import (
-    LLVVector,
-    make_lattice,
-    make_space,
-)
-from .rational import fmt_q, parse_q
+from .lattice import LLVVector, make_lattice, make_space
+from .rational import fmt_q, parse_q, too_many_digits
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_DOMAIN = 2
 EXIT_PARSE = 3
 
+# one term of an H^2 label expression: [sign][p[/q][*]]label
+_TERM = r"([+-]?)(?:(\d+(?:/\d+)?)\*?)?([A-Za-z]\w*)"
+_REQUIRED = object()
+
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2)
+    except ValueError as exc:  # an int past the int-to-text digit limit
+        raise too_many_digits() from exc
+    print(text)
 
 
 def _vec_out(v) -> list[str]:
-    return [fmt_q(Fraction(c)) for c in v]
+    return [fmt_q(c) for c in v]
 
 
 def _llv_out(x: LLVVector) -> dict:
     return {"r": fmt_q(x.r), "h2": _vec_out(x.v), "s": fmt_q(x.s)}
 
 
-def _parse_h2(space, text: str):
-    """Parse an H^2 vector: comma-separated rationals or label expressions.
-
-    Accepts "1,3,0,..." (full coordinate list) or "2*e1+3*f1-1*d" style
-    label combinations.
-    """
-    if not isinstance(text, str):
-        raise ParseError(f"h2 vector must be a string, got {text!r}")
-    text = text.strip()
-    labels = space.h2.labels
-    if "," in text or text.lstrip("+-").replace("/", "").isdigit():
-        parts = [p for p in text.split(",") if p.strip()]
-        if len(parts) == space.h2.rank:
-            return tuple(parse_q(p) for p in parts)
-        raise ParseError(
-            f"h2 vector needs {space.h2.rank} coordinates, got {len(parts)}"
-        )
-    coords = {lab: Fraction(0) for lab in labels}
-    token = ""
-    terms = []
-    for ch in text.replace(" ", ""):
-        if ch in "+-" and token:
-            terms.append(token)
-            token = ch
-        else:
-            token += ch
-    if token:
-        terms.append(token)
-    for term in terms:
-        if "*" in term:
-            coeff, lab = term.split("*", 1)
-            coeff = coeff or "1"
-            if coeff in ("+", "-"):
-                coeff += "1"
-        else:
-            stripped = term.lstrip("+-")
-            lab = stripped.lstrip("0123456789/")
-            coeff = term[: len(term) - len(lab)] or "1"
-            if coeff in ("+", "-"):
-                coeff += "1"
-        if lab not in coords:
-            raise ParseError(f"unknown basis label: {lab!r}")
-        coords[lab] += parse_q(coeff)
-    return tuple(coords[lab] for lab in labels)
+def _line_out(space, line) -> dict:
+    return {"generator": _llv_out(line.generator),
+            "square": fmt_q(line.square(space))}
 
 
-def _int_field(doc, key: str, default=None) -> int:
-    """An integer field of a request document; anything else is a parse error."""
-    value = doc[key] if default is None else doc.get(key, default)
-    q = parse_q(str(value))
+def _field(req: dict, key: str, default):
+    value = req.get(key, default)
+    if value is _REQUIRED:
+        raise ParseError(f"missing field: {key}")
+    return value
+
+
+def _name(req: dict, key: str, default=_REQUIRED) -> str:
+    """A string field: a family, a preset, a sign or an H^2 expression."""
+    value = _field(req, key, default)
+    if not isinstance(value, str):
+        raise ParseError(f"field {key!r} must be a string, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def _q(req: dict, key: str, default=_REQUIRED) -> Fraction:
+    """A rational field: a number, or a string that parse_q reads."""
+    value = _field(req, key, default)
+    if isinstance(value, float):
+        value = repr(value)
+    if isinstance(value, str):
+        return parse_q(value)
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ParseError(f"field {key!r} must be a rational, "
+                     f"got {type(value).__name__}")
+
+
+def _int(req: dict, key: str, default=_REQUIRED) -> int:
+    q = _q(req, key, default)
     if q.denominator != 1:
-        raise ParseError(f"field {key!r} must be an integer, got {value!r}")
+        raise ParseError(f"field {key!r} must be an integer, got {fmt_q(q)}")
     return int(q)
 
 
-def _space_from(doc) -> "make_space":
-    kind = doc.get("type", "HilbK3")
-    return make_space(kind, _int_field(doc, "n", 2))
+def _h2(space, req: dict, key: str, default=_REQUIRED) -> tuple:
+    """An H^2 field: all coordinates, comma-separated, or a sum of terms.
+
+    A term is [sign][p[/q][*]]label, e.g. "2*e1+3f1-1/2*d"; a "*" needs a
+    coefficient before it, and the empty expression is the zero vector.
+    """
+    text = _name(req, key, default).strip()
+    if "," in text:
+        parts = [p for p in text.split(",") if p.strip()]
+        if len(parts) != space.h2.rank:
+            raise ParseError(f"h2 vector needs {space.h2.rank} coordinates, "
+                             f"got {len(parts)}")
+        return tuple(parse_q(p) for p in parts)
+    text = text.replace(" ", "")
+    # each term ends where the next sign starts, so findall splits as matched
+    if not re.fullmatch(rf"(?:{_TERM}(?=[+-]|\Z))*", text):
+        raise ParseError(f"field {key!r} is not an H^2 expression: {text!r}")
+    coords = dict.fromkeys(space.h2.labels, Fraction(0))
+    for sign, coeff, label in re.findall(_TERM, text):
+        if label not in coords:
+            raise ParseError(f"unknown basis label: {label!r}")
+        coords[label] += parse_q(sign + (coeff or "1"))
+    return tuple(coords.values())
+
+
+def _refuse_unprintable(n: int, r0: int, n_factorial: bool) -> None:
+    """Refuse at once the rank or integral of an n-th power that cannot print.
+
+    n! has more digits than the limit once n passes it, and so has the
+    reduced denominator of the structure-sheaf integral; r0^n has once
+    n (bits(r0) - 1) passes 4 limit, as 2^(4 limit) > 10^limit.  Anything
+    let through here is still refused by fmt_q when it is printed.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit and (n_factorial and n > limit
+                  or n * (r0.bit_length() - 1) > 4 * limit):
+        raise too_many_digits()
 
 
 def _synth_eta(space, r0: int, eta_sq: Fraction):
@@ -115,141 +146,86 @@ def _synth_eta(space, r0: int, eta_sq: Fraction):
     return (Fraction(2), 2 * m) + (Fraction(0),) * (k - 3) + (Fraction(1),)
 
 
-def cmd_ell(args) -> int:
-    doc = json.loads(args.json)
+def cmd_ell(req: dict) -> int:
+    try:
+        doc = json.loads(_name(req, "--json"), parse_int=parse_q)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"not a JSON document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("the object spec must be a JSON object")
-    family = doc.get("family")
-    if family is None:
-        raise ParseError("missing field: family")
-    space = _space_from(doc)
+    family = _name(doc, "family")
+    space = make_space(_name(doc, "type", "HilbK3"), _int(doc, "n", 2))
     out = {"family": family}
     if family == "StructureSheaf":
+        _refuse_unprintable(space.n, 1, True)
         line, t, s_int = lines.ell_structure_sheaf(space)
-        out |= {
-            "generator": _llv_out(line.generator),
-            "square": fmt_q(line.square(space)),
-            "t": fmt_q(t),
-            "sqrt_td_integral": fmt_q(s_int),
-        }
+        out |= {"t": fmt_q(t), "sqrt_td_integral": fmt_q(s_int)}
     elif family == "Skyscraper":
         line = lines.ell_skyscraper(space)
-        out |= {
-            "generator": _llv_out(line.generator),
-            "square": fmt_q(line.square(space)),
-        }
     elif family == "Lagrangian":
-        lam = _parse_h2(space, doc["lambda"])
-        t = parse_q(str(doc["t"]))
-        main, intro = lines.ell_lagrangian(space, lam, t)
-        out |= {
-            "generator": _llv_out(main.generator),
-            "square": fmt_q(main.square(space)),
-            "sign_variant": _llv_out(intro.generator),
-        }
+        line, intro = lines.ell_lagrangian(space, _h2(space, doc, "lambda"),
+                                           _q(doc, "t"))
+        out["sign_variant"] = _llv_out(intro.generator)
     elif family == "PhiO":
-        r0 = _int_field(doc, "r0")
-        h = _parse_h2(space, doc["h"])
-        line, _, report = lines.ell_phiO(space, r0, h)
-        out |= {
-            "generator": _llv_out(line.generator),
-            "square": fmt_q(line.square(space)),
-            "lambda_member": report["lambda_member"],
-            "lambda_divisibility": report["lambda_divisibility"],
-            "congruence": report["congruence"],
-            "rank": report["rank"],
-        }
+        line, _, report = lines.ell_phiO(space, _int(doc, "r0"),
+                                         _h2(space, doc, "h"))
+        out |= {key: report[key] for key in ("lambda_member", "congruence",
+                                             "lambda_divisibility", "rank")}
     elif family == "Isotropic":
-        r0 = _int_field(doc, "r0")
-        h = _parse_h2(space, doc["h"])
-        line, _, report = lines.ell_isotropic(space, r0, h)
-        out |= {
-            "generator": _llv_out(line.generator),
-            "square": fmt_q(line.square(space)),
-            "rank": report["rank"],
-        }
-        if "lambda_divisibility" in report:
-            out["lambda_divisibility"] = report["lambda_divisibility"]
+        r0 = _int(doc, "r0")
+        _refuse_unprintable(space.n, r0, True)
+        line, _, report = lines.ell_isotropic(space, r0, _h2(space, doc, "h"))
+        out |= {key: report[key] for key in ("rank", "lambda_divisibility")
+                if key in report}
     elif family == "KappaTriple":
-        x, y, z = (parse_q(str(doc[key])) for key in ("x", "y", "z"))
-        c1 = _parse_h2(space, doc.get("c1", ",".join(["0"] * space.h2.rank)))
-        res = lines.ell_from_kappa(space, x, y, z, c1)
-        if res == "codim>1":
-            out |= {"outcome": "codim>1"}
-        else:
-            out |= {
-                "generator": _llv_out(res.generator),
-                "square": fmt_q(res.square(space)),
-            }
+        x, y, z = (_q(doc, key) for key in ("x", "y", "z"))
+        line = lines.ell_from_kappa(space, x, y, z, _h2(space, doc, "c1", ""))
+        if line == "codim>1":
+            _emit(out | {"outcome": line})
+            return EXIT_OK
     else:
         raise ParseError(f"unknown family: {family!r}")
-    _emit(out)
+    _emit(out | _line_out(space, line))
     return EXIT_OK
 
 
-def cmd_chern(args) -> int:
+def cmd_chern(req: dict) -> int:
     space = make_space("HilbK3", 2)
-    if args.family == "phiO":
-        r0 = args.r0
+    family = _name(req, "--family")
+    if family == "lagrangian":
+        data, _ = arith.lagrangian_data(space, _q(req, "--lambda-sq"),
+                                        _int(req, "--chi-z"))
+        _emit({"family": family, "chiZ": data.chiZ} | {
+            key: fmt_q(getattr(data, key))
+            for key in ("lambda_sq", "c", "t", "chiOZ")})
+        return EXIT_OK
+    r0 = _int(req, "--r0", 1)
+    if family == "isotropic":
+        h = _h2(space, req, "--h")
+        _, _, ch4, chi_val = lines.chern_isotropic_k32(space, r0, h)
+    else:  # phiO, the only other choice
         if r0 < 1:
             raise DomainError("r0 must be a positive integer")
-        if args.h is not None:
-            h = _parse_h2(space, args.h)
-        elif args.h_sq is not None:
-            eta_sq = parse_q(args.h_sq)
+        if "--h" in req:
+            h = _h2(space, req, "--h")
+        elif "--h-sq" in req:
             g = 2 if r0 % 2 == 0 else 1
-            eta = _synth_eta(space, r0, eta_sq * g * g / r0**2)
+            eta = _synth_eta(space, r0, _q(req, "--h-sq") * g * g / r0**2)
             h = tuple(Fraction(r0, g) * c for c in eta)
         else:
             raise ParseError("need --h or --h-sq")
-        ch2, ch3, ch4, kappa, chi_val = lines.chern_phiO(space, r0, h)
-        _emit({
-            "family": "phiO",
-            "r0": r0,
-            "h_sq": fmt_q(space.h2.pair(h, h)),
-            "ch4": fmt_q(ch4),
-            "chi": fmt_q(chi_val),
-        })
-        return EXIT_OK
-    if args.family == "isotropic":
-        r0 = args.r0
-        if args.h is None:
-            raise ParseError("isotropic needs --h")
-        h = _parse_h2(space, args.h)
-        ch2, ch3, ch4, chi_val = lines.chern_isotropic_k32(space, r0, h)
-        _emit({
-            "family": "isotropic",
-            "r0": r0,
-            "h_sq": fmt_q(space.h2.pair(h, h)),
-            "ch4": fmt_q(ch4),
-            "chi": fmt_q(chi_val),
-        })
-        return EXIT_OK
-    if args.family == "lagrangian":
-        missing = [flag for flag, value in (("--lambda-sq", args.lambda_sq),
-                                            ("--chi-z", args.chi_z))
-                   if value is None]
-        if missing:
-            raise ParseError(f"lagrangian needs {' and '.join(missing)}")
-        data, _ = arith.lagrangian_data(space, parse_q(args.lambda_sq),
-                                        args.chi_z)
-        _emit({
-            "family": "lagrangian",
-            "lambda_sq": fmt_q(data.lambda_sq),
-            "chiZ": data.chiZ,
-            "c": fmt_q(data.c),
-            "t": fmt_q(data.t),
-            "chiOZ": fmt_q(data.chiOZ),
-        })
-        return EXIT_OK
-    raise ParseError(f"unknown chern family: {args.family!r}")
+        _, _, ch4, _, chi_val = lines.chern_phiO(space, r0, h)
+    _emit({"family": family, "r0": r0, "h_sq": fmt_q(space.h2.pair(h, h)),
+           "ch4": fmt_q(ch4), "chi": fmt_q(chi_val)})
+    return EXIT_OK
 
 
-def cmd_search(args) -> int:
-    divs = [args.div] if args.div else [1, 2]
-    c_bound = parse_q(args.max_c)
+def cmd_search(req: dict) -> int:
+    lambda_sq_max = _int(req, "--max-lambda-sq")
+    c_bound = _q(req, "--max-c")
+    divs = [_int(req, "--div")] if "--div" in req else [1, 2]
     hits = [h for d in divs
-            for h in arith.arithmetic_search(args.max_lambda_sq, c_bound, d)]
+            for h in arith.arithmetic_search(lambda_sq_max, c_bound, d)]
     hits.sort(key=lambda h: (h.lambda_sq, h.div, h.c))
     rows = [{
         "lambda_sq": h.lambda_sq,
@@ -263,53 +239,47 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-def cmd_monodromy(args) -> int:
-    if args.ek is not None:
-        res = mono.ek_pipeline(args.ek)
+def cmd_monodromy(req: dict) -> int:
+    if "--ek" in req:
+        k = _int(req, "--ek")
+        res = mono.ek_pipeline(k)
         _emit({
-            "k": args.ek,
+            "k": k,
             "rank": res["rank"],
             "c1": _vec_out(res["c1"]),
             "s": fmt_q(res["s"]),
             "line": _llv_out(res["line"].generator),
             "twist_line": _llv_out(res["twist_line"].generator),
         })
-        return EXIT_OK
-    if args.chi_involution is not None:
-        space = make_space("HilbK3", args.chi_involution)
-        iso = mono.chi_involution(space)
-        _emit({
-            "n": args.chi_involution,
-            "det": iso.det(),
-            "matrix": iso.to_rows(),
-        })
-        return EXIT_OK
-    if args.bkr_r0 is not None:
-        k3 = make_space("K3")
-        c1g = _parse_h2(k3, args.c1g) if args.c1g else (0,) * 22
-        rank, c1, s, line = mono.bkr_bundle_c1(args.bkr_r0, c1g, args.n,
-                                               args.sign)
-        _emit({
-            "rank": rank,
-            "c1": _vec_out(c1),
-            "s": fmt_q(s),
-            "line": _llv_out(line.generator),
-        })
-        return EXIT_OK
-    raise ParseError("monodromy needs --ek, --chi-involution or --bkr-r0")
+    elif "--chi-involution" in req:
+        n = _int(req, "--chi-involution")
+        iso = mono.chi_involution(make_space("HilbK3", n))
+        _emit({"n": n, "det": iso.det(), "matrix": iso.to_rows()})
+    elif "--bkr-r0" in req:
+        r0, n = _int(req, "--bkr-r0"), _int(req, "--n", 2)
+        _refuse_unprintable(n, r0, False)
+        c1g = _h2(make_space("K3"), req, "--c1g", "")
+        rank, c1, s, line = mono.bkr_bundle_c1(r0, c1g, n,
+                                               _name(req, "--sign", "+"))
+        _emit({"rank": rank, "c1": _vec_out(c1), "s": fmt_q(s),
+               "line": _llv_out(line.generator)})
+    else:
+        raise ParseError("monodromy needs --ek, --chi-involution or --bkr-r0")
+    return EXIT_OK
 
 
-def cmd_lattice(args) -> int:
-    lat = make_lattice(args.preset, args.n)
+def cmd_lattice(req: dict) -> int:
+    lat = make_lattice(_name(req, "--preset"),
+                       _int(req, "--n") if "--n" in req else None)
     out = lat.to_dict()
     out["signature"] = list(lat.signature())
     _emit(out)
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(req: dict) -> int:
     results, ok = golden.run_golden()
-    if args.json:
+    if "--json" in req:
         _emit({"checks": results, "passed": ok, "count": len(results)})
     else:
         for r in results:
@@ -347,34 +317,32 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("chern", help="Chern data and Euler characteristics")
     pc.add_argument("--family", required=True,
                     choices=["phiO", "isotropic", "lagrangian"])
-    pc.add_argument("--r0", type=int, default=1)
+    pc.add_argument("--r0", help="rank parameter (default 1)")
     pc.add_argument("--h", help="H^2 vector (coords or label expression)")
-    pc.add_argument("--h-sq", dest="h_sq",
+    pc.add_argument("--h-sq",
                     help="square of eta; a realizing vector is synthesized")
-    pc.add_argument("--lambda-sq", dest="lambda_sq", help="lagrangian square")
-    pc.add_argument("--chi-z", dest="chi_z", type=int,
-                    help="topological Euler characteristic")
+    pc.add_argument("--lambda-sq", help="lagrangian square")
+    pc.add_argument("--chi-z", help="topological Euler characteristic")
     pc.set_defaults(func=cmd_chern)
 
     ps = sub.add_parser("search", help="lagrangian admissibility search")
-    ps.add_argument("--max-lambda-sq", dest="max_lambda_sq", type=int,
-                    required=True)
-    ps.add_argument("--max-c", dest="max_c", required=True)
-    ps.add_argument("--div", type=int, choices=[1, 2])
+    ps.add_argument("--max-lambda-sq", required=True)
+    ps.add_argument("--max-c", required=True)
+    ps.add_argument("--div", choices=["1", "2"])
     ps.set_defaults(func=cmd_search)
 
     pm = sub.add_parser("monodromy", help="derived-monodromy computations")
-    pm.add_argument("--ek", type=int, help="pipeline for the k-th twist")
-    pm.add_argument("--chi-involution", dest="chi_involution", type=int)
-    pm.add_argument("--bkr-r0", dest="bkr_r0", type=int)
+    pm.add_argument("--ek", help="pipeline for the k-th twist")
+    pm.add_argument("--chi-involution")
+    pm.add_argument("--bkr-r0")
     pm.add_argument("--c1g", help="K3 H^2 vector for bkr")
-    pm.add_argument("--n", type=int, default=2)
-    pm.add_argument("--sign", choices=["+", "-"], default="+")
+    pm.add_argument("--n", help="for bkr (default 2)")
+    pm.add_argument("--sign", choices=["+", "-"], help="default +")
     pm.set_defaults(func=cmd_monodromy)
 
     pl = sub.add_parser("lattice", help="preset lattice data")
     pl.add_argument("--preset", required=True)
-    pl.add_argument("--n", type=int)
+    pl.add_argument("--n")
     pl.set_defaults(func=cmd_lattice)
 
     pv = sub.add_parser("verify", help="replay the golden value table")
@@ -390,12 +358,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage; normalize to the parse-error code
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
+    # the request: each flag given, keyed as spelled ("--chi-z")
+    req = {"--" + key.replace("_", "-"): value
+           for key, value in vars(args).items() if value not in (None, False)}
     try:
-        return args.func(args)
+        return args.func(req)
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (json.JSONDecodeError, KeyError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DomainError as exc:

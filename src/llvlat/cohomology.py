@@ -43,13 +43,9 @@ from .harmonic import (
     ReducedSymElement,
     full_context,
 )
-from .lattice import LLVSpace, LLVVector, make_space
+from .lattice import LLVSpace, LLVVector
 
 Q = Fraction
-
-
-def k32_space() -> LLVSpace:
-    return make_space("HilbK3", 2)
 
 
 def _require_k32(space: LLVSpace):

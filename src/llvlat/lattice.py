@@ -277,6 +277,14 @@ class LLVSpace:
     fujiki: Fraction
     dtype: str  # "K3", "Hilb", or "Kummer"
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # hashing the 23x23 Gram costs microseconds, so do it once per space
+        return hash((self.n, self.fujiki, self.h2.gram))
+
     @property
     def dim(self) -> int:
         return self.h2.rank + 2

@@ -22,6 +22,7 @@ from .errors import DomainError, NotRealizableError, certify
 from .harmonic import project_harmonic
 from .isometry import b_lambda, duality_D
 from .lattice import LLVSpace, LLVVector, _lambda_coords, _lambda_gcds
+from .rational import fmt_q
 
 Q = Fraction
 
@@ -133,7 +134,7 @@ def _lambda_gate(space: LLVSpace, gamma: LLVVector, div: int) -> dict:
     if got != div:
         raise NotRealizableError(
             f"gamma must have divisibility {div} in the integral LLV lattice",
-            f"got {got}",
+            f"got {fmt_q(got)}",
         )
     return {"lambda_member": True, "lambda_divisibility": div}
 
@@ -146,7 +147,7 @@ def _phiO_eta(space: LLVSpace, r0: int, h):
     if not space.h2.is_integral(eta):
         raise NotRealizableError(
             "c1(F) = (r0 / gcd(r0, 2)) * eta with eta integral",
-            f"r0 = {r0}",
+            f"r0 = {fmt_q(r0)}",
         )
     return hv, eta
 
@@ -168,17 +169,20 @@ def ell_phiO(space: LLVSpace, r0: int, h):
     hv, eta = _phiO_eta(space, r0, h)
     eta_sq = space.h2.pair(eta, eta)
     if r0 % 2 == 1:
-        cond = f"r0 | (5 + 2 (eta, eta)): {r0} | (5 + 2 ({eta_sq}))"
+        cond = (f"r0 | (5 + 2 (eta, eta)): {fmt_q(r0)} | "
+                f"(5 + 2 ({fmt_q(eta_sq)}))")
         if (5 + 2 * eta_sq) % r0 != 0:
             raise NotRealizableError(cond)
     else:
-        cond = f"r0 | (5 + (eta, eta)/2): {r0} | (5 + {eta_sq}/2)"
+        cond = (f"r0 | (5 + (eta, eta)/2): {fmt_q(r0)} | "
+                f"(5 + {fmt_q(eta_sq)}/2)")
         if (5 + eta_sq / 2) % r0 != 0:
             raise NotRealizableError(cond)
         # lattice membership sharpens the even-rank modulus to 2 r0
         if (5 + eta_sq / 2) % (2 * r0) != 0:
             raise NotRealizableError(
-                f"2 r0 | (5 + (eta, eta)/2): {2 * r0} | (5 + {eta_sq}/2)",
+                f"2 r0 | (5 + (eta, eta)/2): {fmt_q(2 * r0)} | "
+                f"(5 + {fmt_q(eta_sq)}/2)",
                 "required for integral LLV lattice membership",
             )
 
@@ -283,17 +287,18 @@ def ell_isotropic(space: LLVSpace, r0: int, h, n: int | None = None):
             div_psi = space.h2.divisibility(psiv) if any(psiv) else 0
             if any(psiv) and div_psi % 2 != 0:
                 raise NotRealizableError("2 | div(psi) for odd r0",
-                                         f"div(psi) = {div_psi}")
+                                         f"div(psi) = {fmt_q(div_psi)}")
         mod = Fraction(2 * r0, g * g)
         if psi_sq % mod != 0:
             raise NotRealizableError(
-                f"(2 r0 / gcd(2, r0)^2) | (psi, psi): {mod} | {psi_sq}"
+                f"(2 r0 / gcd(2, r0)^2) | (psi, psi): {fmt_q(mod)} | "
+                f"{fmt_q(psi_sq)}"
             )
         cong = Fraction(psi_sq * g * g, 2 * r0)
         if (cong + r0) % 4 != 0:
             raise NotRealizableError(
                 "(psi, psi) gcd^2 / (2 r0) = -r0 (mod 4)",
-                f"got {cong} vs -{r0}",
+                f"got {fmt_q(cong)} vs -{fmt_q(r0)}",
             )
         report |= _lambda_gate(space, gamma, 1)
         report["psi_sq"] = psi_sq

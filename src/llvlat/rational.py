@@ -7,6 +7,7 @@ root extraction so they are exact for arbitrary magnitudes.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from math import isqrt
@@ -14,6 +15,14 @@ from math import isqrt
 from .errors import DomainError, ParseError
 
 Q = Fraction
+
+
+def too_many_digits(what: str = "result") -> DomainError:
+    """The refusal of a number past Python's int-to-text digit limit."""
+    return DomainError(
+        f"{what} has more than {sys.get_int_max_str_digits()} digits, "
+        "Python's limit for integer-to-text conversion"
+    )
 
 
 def fmt_q(x: Fraction) -> str:
@@ -29,18 +38,32 @@ def fmt_q(x: Fraction) -> str:
             return str(x.numerator)
         return f"{x.numerator}/{x.denominator}"
     except ValueError as exc:
-        raise DomainError(
-            f"result has more than {sys.get_int_max_str_digits()} digits, "
-            "Python's limit for integer-to-text conversion"
-        ) from exc
+        raise too_many_digits() from exc
+
+
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def parse_q(text: str) -> Fraction:
-    """Parse "p/q" or "p" (integers only, optional sign)."""
+    """Parse a rational as ``Fraction`` reads text: "p/q", "p", "1.5e3".
+
+    A run of more digits than Python converts to text, an exponent past
+    that limit, or a value whose numerator or denominator would not print
+    is refused with DomainError, before any large power is built.
+    """
+    limit = sys.get_int_max_str_digits()
+    exp = _EXPONENT.search(text)
+    runs = re.findall(r"[\d_]+", text)
+    if limit and (any(len(run.replace("_", "")) > limit for run in runs)
+                  or exp and abs(int(exp[1])) > limit):
+        raise too_many_digits("number")
     try:
-        return Fraction(text.strip())
+        x = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational: {text!r}") from exc
+    if limit and max(abs(x.numerator), x.denominator) >= 10**limit:
+        raise too_many_digits("number")
+    return x
 
 
 def is_square_int(n: int) -> bool:

@@ -349,3 +349,118 @@ def test_certify_survives_python_O():
     assert proc.stdout == ""
     assert proc.stderr == ("verification error: certificate failed: "
                            "the E_k rank is an integer\n")
+
+
+def _ell(doc: str, capsys):
+    return run_cli(["ell", "--json", doc], capsys)
+
+
+def test_non_string_type_exit3(capsys):
+    # a list used to reach make_space's cache and fail with a TypeError
+    for value in ('["K3"]', '5', 'null', '{"a":1}'):
+        code, out, err = _ell('{"family":"StructureSheaf","type":%s}' % value,
+                              capsys)
+        assert (code, out) == (3, ""), value
+        assert err.startswith("parse error: field 'type' must be a string")
+
+
+@pytest.mark.parametrize("expr", ["*e1", "e1+*f1", "1_0*e1", "2.5*e1",
+                                  "1e3*e1", "e1f1", "e1+", "2*", "+", "2/*e1"])
+def test_h2_expression_refusals_exit3(expr, capsys):
+    code, out, err = _ell('{"family":"Lagrangian","lambda":"%s","t":0}' % expr,
+                          capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("parse error:")
+
+
+@pytest.mark.parametrize("expr, coords", [
+    ("2*e1+3*f1-1/2*d", ("2", "3", "-1/2")),
+    ("2e1 + 3f1 - d", ("2", "3", "-1")),
+    ("-e1+e1+f1+1/3d", ("0", "1", "1/3")),
+    ("+e1-0*f1", ("1", "0", "0")),
+])
+def test_h2_expression_terms(expr, coords, capsys):
+    code, out, _ = _ell('{"family":"Lagrangian","lambda":"%s","t":0}' % expr,
+                        capsys)
+    assert code == 0
+    h2 = json.loads(out)["generator"]["h2"]
+    assert (h2[0], h2[1], h2[-1]) == coords
+    assert set(h2[2:-1]) == {"0"}
+
+
+def test_numbers_past_the_digit_limit_exit2(capsys):
+    # both used to end in a ValueError traceback and exit 1
+    for args in (["ell", "--json",
+                  '{"family":"PhiO","r0":"1e3000000","h":"e1"}'],
+                 ["chern", "--family", "lagrangian", "--lambda-sq", "1e2000000",
+                  "--chi-z", "27"],
+                 ["ell", "--json", '{"family":"PhiO","r0":%s,"h":"e1"}'
+                  % ("1" * (sys.get_int_max_str_digits() + 1))],
+                 ["chern", "--family", "phiO", "--r0", "7" * 5000,
+                  "--h-sq", "6"]):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (2, ""), args
+        assert err.startswith("domain error: number has more than"), args
+
+
+def test_structure_sheaf_huge_n_exit2_at_once():
+    proc = subprocess.run(
+        [sys.executable, "-m", "llvlat.cli", "ell", "--json",
+         '{"family":"StructureSheaf","type":"HilbK3","n":1000000}'],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("domain error: result has more than")
+
+
+@pytest.mark.parametrize("args", [
+    ["ell", "--json", '{"family":"StructureSheaf","type":"Kum","n":300000}'],
+    ["ell", "--json", '{"family":"Isotropic","n":1000000,"r0":1,"h":"e1"}'],
+    ["ell", "--json", '{"family":"Isotropic","n":3,"r0":"1e4000","h":"e1"}'],
+    ["monodromy", "--bkr-r0", "3", "--n", "3000000"],
+    # a printable generator with an unprintable integer rank
+    ["ell", "--json", '{"family":"Isotropic","n":2000,"r0":1,"h":""}'],
+])
+def test_unprintable_n_power_results_exit2(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("domain error: result has more than")
+
+
+@pytest.mark.parametrize("args, code", [
+    (["ell", "--json", '{"family":"StructureSheaf","n":2037}'], 0),
+    (["ell", "--json", '{"family":"StructureSheaf","n":2038}'], 2),
+    (["ell", "--json", '{"family":"StructureSheaf","type":"Kum","n":2039}'], 0),
+    (["ell", "--json", '{"family":"StructureSheaf","type":"Kum","n":2040}'], 2),
+    (["monodromy", "--bkr-r0", "2", "--n", "14284"], 0),  # 2^14284: 4300 digits
+    (["monodromy", "--bkr-r0", "2", "--n", "14285"], 2),
+])
+def test_largest_printable_n(args, code, capsys):
+    assert run_cli(args, capsys)[0] == code
+
+
+def test_malformed_json_exit3(capsys):
+    for doc in ("[" * 100000, '{"family":', "1", '"x"'):
+        code, out, err = _ell(doc, capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("parse error:")
+
+
+def test_wrong_field_types_exit3(capsys):
+    for doc in ('{"family":"PhiO","r0":true,"h":"e1"}',
+                '{"family":"PhiO","r0":[1],"h":"e1"}',
+                '{"family":"PhiO","r0":1,"h":["e1"]}',
+                '{"family":"PhiO","r0":1,"h":null}',
+                '{"family":"Lagrangian","lambda":"e1","t":{"p":1}}',
+                '{"family":"KappaTriple","x":1,"y":1}',
+                '{"family":["PhiO"]}'):
+        code, out, err = _ell(doc, capsys)
+        assert (code, out) == (3, ""), doc
+        assert err.startswith("parse error:"), doc
+    for args in (["chern", "--family", "phiO", "--r0", "x", "--h-sq", "6"],
+                 ["search", "--max-lambda-sq", "6.5", "--max-c", "10"],
+                 ["monodromy", "--ek", "1/2"],
+                 ["lattice", "--preset", "HilbK3", "--n", "two"]):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (3, ""), args
+        assert err.startswith("parse error:"), args

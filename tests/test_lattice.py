@@ -379,3 +379,22 @@ def test_lambda_gate_refusals_unchanged():
     with pytest.raises(DomainError, match="divisibility of the zero vector"):
         div_in_lambda(sp, LLVVector.make(0, (0,) * 23, 0))
     assert not is_primitive_in_lambda(sp, 2 * gamma0)
+
+
+def test_space_hash_is_cached_and_by_value():
+    # spaces key the ring's caches: equal spaces built apart hash alike and
+    # share cache entries; the hash is computed once per space
+    from fractions import Fraction
+    from llvlat import cohomology as coh
+    from llvlat.lattice import LLVSpace
+
+    sp = make_space("HilbK3", 2)
+    twin = LLVSpace(make_lattice("HilbK3", 2), 2, Fraction(1), "Hilb")
+    assert twin is not sp and twin == sp and hash(twin) == hash(sp)
+    assert {sp: 1}[twin] == 1
+    assert coh.c2_class(twin) is coh.c2_class(sp)
+    assert "_hash" in vars(sp)
+    other = make_space("HilbK3", 3)
+    assert other != sp and {sp: 1}.get(other) is None
+    assert make_space("Kum", 2) != LLVSpace(make_lattice("Kum", 2), 2,
+                                            Fraction(1), "Kummer")

@@ -35,6 +35,24 @@ def test_fmt_q_refuses_results_beyond_the_digit_limit():
             fmt_q(x)
 
 
+def test_parse_q_refuses_numbers_beyond_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert parse_q("9" * limit) == 10**limit - 1
+    assert parse_q(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert parse_q(f"-3/1{'0' * (limit - 1)}") == Q(-3, 10 ** (limit - 1))
+    assert parse_q(f"1.{'5' * (limit - 1)}") == \
+        Q(int("1" + "5" * (limit - 1)), 10 ** (limit - 1))
+    # refused from the text or the value, before a large power is built
+    for text in ("1" * (limit + 1), "1_0" * limit, "1e3000000", "2E-3000000",
+                 f"1e{limit}", f"1/{'3' * (limit + 1)}", f"0.{'0' * limit}1",
+                 f"{'1' * limit}.{'2' * limit}", "1e1_000_000"):
+        with pytest.raises(DomainError, match=f"more than {limit} digits"):
+            parse_q(text)
+    for text in ("1_0e", "e5", "1/2e3", "1e3x"):
+        with pytest.raises(ParseError):
+            parse_q(text)
+
+
 @given(st.integers(-10**12, 10**12), st.integers(1, 10**9))
 def test_fmt_parse_roundtrip(p, q):
     x = Q(p, q)
