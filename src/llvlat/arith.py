@@ -41,8 +41,6 @@ from .errors import DomainError, InadmissibleError, certify
 from .lattice import LLVSpace
 from .rational import fmt_q, sqrt_rational
 
-Q = Fraction
-
 
 @dataclass(frozen=True)
 class LagrangianData:

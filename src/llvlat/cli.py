@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("search", help="lagrangian admissibility search")
     ps.add_argument("--max-lambda-sq", required=True)
     ps.add_argument("--max-c", required=True)
-    ps.add_argument("--div", choices=["1", "2"])
+    ps.add_argument("--div", help="1 or 2 (default: both)")
     ps.set_defaults(func=cmd_search)
 
     pm = sub.add_parser("monodromy", help="derived-monodromy computations")

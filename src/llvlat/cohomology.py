@@ -45,8 +45,6 @@ from .harmonic import (
 )
 from .lattice import LLVSpace, LLVVector
 
-Q = Fraction
-
 
 def _require_k32(space: LLVSpace):
     if space.dtype != "Hilb" or space.n != 2:

@@ -42,8 +42,6 @@ from math import gcd
 from . import _linalg
 from .errors import DomainError, InconclusiveError, certify
 
-Q = Fraction
-
 # Gram matrix of E8 in the standard Cartan ordering, negated to the
 # negative definite form used on K3 cohomology.  Stored as an explicit
 # constant so the external interface is bit-exact.

@@ -24,8 +24,6 @@ from .isometry import b_lambda, duality_D
 from .lattice import LLVSpace, LLVVector, _lambda_coords, _lambda_gcds
 from .rational import fmt_q
 
-Q = Fraction
-
 
 @dataclass(frozen=True)
 class LLVLine:

@@ -14,8 +14,6 @@ from math import isqrt
 
 from .errors import DomainError, ParseError
 
-Q = Fraction
-
 
 def too_many_digits(what: str = "result") -> DomainError:
     """The refusal of a number past Python's int-to-text digit limit."""
@@ -41,7 +39,7 @@ def fmt_q(x: Fraction) -> str:
         raise too_many_digits() from exc
 
 
-_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def parse_q(text: str) -> Fraction:
@@ -53,15 +51,18 @@ def parse_q(text: str) -> Fraction:
     """
     limit = sys.get_int_max_str_digits()
     exp = _EXPONENT.search(text)
-    runs = re.findall(r"[\d_]+", text)
-    if limit and (any(len(run.replace("_", "")) > limit for run in runs)
+    if limit and (len(text) > limit
+                  and any(len(run.replace("_", "")) > limit
+                          for run in re.findall(r"[\d_]+", text))
                   or exp and abs(int(exp[1])) > limit):
         raise too_many_digits("number")
     try:
         x = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational: {text!r}") from exc
-    if limit and max(abs(x.numerator), x.denominator) >= 10**limit:
+    # 10^limit > 2^(3 limit): only a longer value needs the exact test
+    big = max(abs(x.numerator), x.denominator)
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
         raise too_many_digits("number")
     return x
 

@@ -414,6 +414,7 @@ def test_structure_sheaf_huge_n_exit2_at_once():
 
 
 @pytest.mark.parametrize("args", [
+    ["ell", "--json", '{"family":"StructureSheaf","n":200000}'],
     ["ell", "--json", '{"family":"StructureSheaf","type":"Kum","n":300000}'],
     ["ell", "--json", '{"family":"Isotropic","n":1000000,"r0":1,"h":"e1"}'],
     ["ell", "--json", '{"family":"Isotropic","n":3,"r0":"1e4000","h":"e1"}'],
