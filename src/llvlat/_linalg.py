@@ -1,20 +1,24 @@
 """Small exact linear algebra over Fraction and over the integers.
 
 Every matrix the library multiplies is an integer matrix over one common
-denominator (``IntMatrix``, built by ``to_int_matrix``), and ``int_det`` is
-its one determinant.  ``inverse`` and ``signature`` take rows of ints or
-Fractions and eliminate over Fraction.  Every space in the toolkit has
-dimension at most 25, so nothing clever is needed.  All routines are pure.
+denominator, stored as sparse rows (``SparseRows``): row i lists the pairs
+(j, x) with x != 0, in increasing j, the format of ``QuadLattice.rows``.
+``sparse_mul`` is the one matrix product and ``int_det`` the one
+determinant, and both walk only the nonzero entries: the Gram matrices and
+the isometries built from the closed-form generators are mostly zeros.
+``to_int_matrix`` and ``sparse`` bring a dense rational matrix to that
+form.  ``inverse`` and ``signature`` take dense rows of ints or Fractions
+and eliminate over Fraction.  All routines are pure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 IntMatrix = tuple[tuple[int, ...], ...]
+SparseRows = tuple[tuple[tuple[int, int], ...], ...]
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -104,29 +108,70 @@ def to_int_matrix(a) -> tuple[IntMatrix, int]:
     return tuple(tuple(flat[i:i + n]) for i in range(0, len(flat), n)), den
 
 
-def int_mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+def sparse(a) -> SparseRows:
+    """The sparse rows of a dense matrix."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in a)
 
 
-def int_det(a: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination.
+def transpose(a: SparseRows, ncols: int) -> SparseRows:
+    cols = [[] for _ in range(ncols)]
+    for i, row in enumerate(a):
+        for j, x in row:
+            cols[j].append((i, x))
+    return tuple(map(tuple, cols))
 
-    Each step replaces the trailing block by (p x - r0 y) / prev, which
-    is exact: every entry is a minor of the input.
+
+def sparse_mul(a: SparseRows, b: SparseRows) -> SparseRows:
+    """The product a b, accumulated over the nonzero entries of both."""
+    out = []
+    for row in a:
+        if len(row) == 1:  # a scaled row of b, already in order
+            (k, x), = row
+            out.append(tuple((j, x * y) for j, y in b[k]))
+            continue
+        acc = {}
+        for k, x in row:
+            for j, y in b[k]:
+                acc[j] = acc.get(j, 0) + x * y
+        out.append(tuple(sorted((j, x) for j, x in acc.items() if x)))
+    return tuple(out)
+
+
+def int_det(a: SparseRows) -> int:
+    """Determinant of a square matrix of sparse rows, by Bareiss elimination.
+
+    Column by column, the pivot is the row with the fewest nonzeros among
+    the remaining rows with an entry in that column; moving it to the front
+    is a row swap and flips the sign.  A step with pivot p after pivot prev
+    replaces each other row r by (p r - r_col head) / prev, exact because
+    every entry is a minor of the input.  A row without an entry in the
+    column is only scaled by p / prev, so each row is kept at the pivot
+    ``level`` it was last updated after and scaled when next read: the
+    step on r is then (p r - r_col head) / level.  The last pivot is the
+    determinant.
     """
-    rows = [list(r) for r in a]
+    rows = [(dict(r), 1) for r in a]
     sign, prev = 1, 1
-    while len(rows) > 1:
-        piv = next((i for i, r in enumerate(rows) if r[0]), None)
+    for col in range(len(rows)):
+        piv = min((i for i, (r, _) in enumerate(rows) if col in r),
+                  key=lambda i: len(rows[i][0]), default=None)
         if piv is None:
             return 0
         if piv:
             rows[0], rows[piv] = rows[piv], rows[0]
             sign = -sign
-        head = rows[0]
-        p, rest = head[0], head[1:]
-        rows = [[(p * x - r[0] * y) // prev for x, y in zip(r[1:], rest)]
-                for r in rows[1:]]
-        prev = p
-    return sign * rows[0][0]
+        head, level = rows[0]
+        if level != prev:
+            head = {j: x * prev // level for j, x in head.items()}
+        p = head.pop(col)
+        rest = []
+        for r, level in rows[1:]:
+            c = r.get(col)
+            if c:
+                new = {j: p * x for j, x in r.items() if j != col}
+                for j, y in head.items():
+                    new[j] = new.get(j, 0) - c * y
+                r, level = {j: x // level for j, x in new.items() if x}, p
+            rest.append((r, level))
+        rows, prev = rest, p
+    return sign * prev

@@ -72,13 +72,21 @@ def _name(req: dict, key: str, default=_REQUIRED) -> str:
     return value
 
 
+def _parse_q(key: str, text: str) -> Fraction:
+    """parse_q on the text of a field, naming the field in a refusal."""
+    try:
+        return parse_q(text)
+    except ParseError as exc:
+        raise ParseError(f"field {key!r} is not a rational: {text!r}") from exc
+
+
 def _q(req: dict, key: str, default=_REQUIRED) -> Fraction:
     """A rational field: a number, or a string that parse_q reads."""
     value = _field(req, key, default)
     if isinstance(value, float):
         value = repr(value)
     if isinstance(value, str):
-        return parse_q(value)
+        return _parse_q(key, value)
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return Fraction(value)
     raise ParseError(f"field {key!r} must be a rational, "
@@ -104,7 +112,7 @@ def _h2(space, req: dict, key: str, default=_REQUIRED) -> tuple:
         if len(parts) != space.h2.rank:
             raise ParseError(f"h2 vector needs {space.h2.rank} coordinates, "
                              f"got {len(parts)}")
-        return tuple(parse_q(p) for p in parts)
+        return tuple(_parse_q(key, p) for p in parts)
     text = text.replace(" ", "")
     # each term ends where the next sign starts, so findall splits as matched
     if not re.fullmatch(rf"(?:{_TERM}(?=[+-]|\Z))*", text):
@@ -113,7 +121,7 @@ def _h2(space, req: dict, key: str, default=_REQUIRED) -> tuple:
     for sign, coeff, label in re.findall(_TERM, text):
         if label not in coords:
             raise ParseError(f"unknown basis label: {label!r}")
-        coords[label] += parse_q(sign + (coeff or "1"))
+        coords[label] += _parse_q(key, sign + (coeff or "1"))
     return tuple(coords.values())
 
 

@@ -2,16 +2,19 @@
 
 An isometry M is stored as an integer matrix N over a positive integer
 denominator d, M = N / d, in the basis order (alpha, h2 basis..., beta),
-normalised so that gcd(N, d) = 1; equal isometries therefore have equal
+normalised so that gcd(N, d) = 1.  N is kept as sparse rows, the format of
+``QuadLattice.rows``: row i lists the pairs (j, N_ij) with N_ij != 0, in
+increasing j.  That form is canonical, so equal isometries have equal
 (N, d).  The library reads only N and d; the rational matrix ``m`` is
 built from them on first use, for callers.
 
-Construction checks Gram compatibility exactly, as N^T G N = d^2 G over
-the integers: G N is accumulated row by row over the sparse Gram rows of
-``space.full`` (53 nonzero entries of 625 on a Hilbert-scheme space) and,
-the product being symmetric, only its upper triangle is compared.  So an
-Isometry is correct by construction.  Composition multiplies numerators and
-denominators, and the determinant is a fraction-free elimination on N.
+Every product is ``_linalg.sparse_mul`` over the nonzero entries.
+Construction checks Gram compatibility exactly, as N^T (G N) = d^2 G over
+the integers, G being the sparse Gram rows of ``space.full``; the product
+is symmetric, so only its upper triangle is compared.  So an Isometry is
+correct by construction.  Composition multiplies numerators and
+denominators, the inverse is G^-1 (G N)^T, and the determinant is a sparse
+fraction-free elimination on N.
 
 Provided generators, each written down in closed form: unipotent B_lambda
 = exp(e_lambda) (identity plus one column and one row), hyperplane
@@ -27,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import gcd
 from operator import mul
 
@@ -36,25 +38,14 @@ from .errors import DomainError, certify
 from .lattice import LLVSpace, LLVVector, make_space
 
 
-def _gram_times(space: LLVSpace, num: _linalg.IntMatrix) -> list:
-    """G N, accumulated row by row over the sparse rows of the full Gram."""
-    gn = []
-    for row in space.full.rows:
-        acc = (0,) * space.dim
-        for j, g in row:
-            acc = [a + g * x for a, x in zip(acc, num[j])]
-        gn.append(acc)
-    return gn
-
-
-def _preserves_gram(space: LLVSpace, num: _linalg.IntMatrix, den: int) -> bool:
-    """N^T G N == d^2 G, comparing the upper triangle of the symmetric product."""
-    gn_cols = tuple(zip(*_gram_times(space, num)))
+def _preserves_gram(space: LLVSpace, num: _linalg.SparseRows, den: int) -> bool:
+    """N^T (G N) == d^2 G, comparing the upper triangle of the symmetric product."""
+    full = space.full
+    ntgn = _linalg.sparse_mul(_linalg.transpose(num, space.dim),
+                              _linalg.sparse_mul(full.rows, num))
     d2 = den * den
-    for a, (col, row) in enumerate(zip(zip(*num), space.full.gram)):
-        if [sum(map(mul, col, c)) for c in gn_cols[a:]] != [d2 * g for g in row[a:]]:
-            return False
-    return True
+    return all([e for e in row if e[0] >= a] == [(b, d2 * g) for b, g in grow if b >= a]
+               for a, (row, grow) in enumerate(zip(ntgn, full.rows)))
 
 
 @dataclass(frozen=True, init=False)
@@ -62,22 +53,23 @@ class Isometry:
     """The isometry num/den; ``Isometry(space, m)`` takes a rational matrix."""
 
     space: LLVSpace
-    num: _linalg.IntMatrix
+    num: _linalg.SparseRows
     den: int
 
     def __init__(self, space: LLVSpace, m):
         if len(m) != space.dim or any(len(row) != space.dim for row in m):
             raise DomainError(f"matrix must be {space.dim} x {space.dim}")
-        self._build(space, *_linalg.to_int_matrix(m))
+        num, den = _linalg.to_int_matrix(m)
+        self._build(space, _linalg.sparse(num), den)
 
     def _build(self, space: LLVSpace, num, den: int) -> None:
-        g = gcd(den, *chain.from_iterable(num))
+        g = gcd(den, *(x for row in num for _, x in row))
         if den < 0:
             g = -g
         if g == 1:
             num = tuple(map(tuple, num))
         else:
-            num = tuple(tuple(x // g for x in row) for row in num)
+            num = tuple(tuple((j, x // g) for j, x in row) for row in num)
             den //= g
         if not _preserves_gram(space, num, den):
             raise DomainError("matrix does not preserve the pairing")
@@ -85,28 +77,43 @@ class Isometry:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
+    def _dense(self, q: dict) -> list:
+        """Rows of q[N_ij], q mapping each distinct entry (0 included)."""
+        out = []
+        for row in self.num:
+            dense = [q[0]] * self.space.dim
+            for j, x in row:
+                dense[j] = q[x]
+            out.append(dense)
+        return out
+
+    def _entries(self) -> set:
+        return {0}.union(*({x for _, x in row} for row in self.num))
+
     @cached_property
     def m(self) -> _linalg.Matrix:
         # one Fraction per distinct entry: most entries repeat (0, +-d, ...)
-        q = {x: Fraction(x, self.den) for x in set(chain.from_iterable(self.num))}
-        return tuple(tuple(map(q.__getitem__, row)) for row in self.num)
+        q = {x: Fraction(x, self.den) for x in self._entries()}
+        return tuple(map(tuple, self._dense(q)))
 
     def apply(self, x: LLVVector) -> LLVVector:
         c, a = _linalg.to_int(x.coords())
         den = self.den * a
-        out = [Fraction(sum(map(mul, row, c)), den) for row in self.num]
+        out = [Fraction(sum(v * c[j] for j, v in row), den) for row in self.num]
         return LLVVector(out[0], tuple(out[1:-1]), out[-1])
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other."""
-        return _isometry(self.space, _linalg.int_mat_mul(self.num, other.num),
+        return _isometry(self.space, _linalg.sparse_mul(self.num, other.num),
                          self.den * other.den)
 
     def inverse(self) -> "Isometry":
         """G^-1 M^T G = G^-1 (G M)^T, G being symmetric."""
-        ginv, e = _linalg.to_int_matrix(self.space.full.inverse)
-        gn_t = tuple(zip(*_gram_times(self.space, self.num)))
-        return _isometry(self.space, _linalg.int_mat_mul(ginv, gn_t), e * self.den)
+        full = self.space.full
+        ginv, e = _linalg.to_int_matrix(full.inverse)
+        gn_t = _linalg.transpose(_linalg.sparse_mul(full.rows, self.num), self.space.dim)
+        return _isometry(self.space, _linalg.sparse_mul(_linalg.sparse(ginv), gn_t),
+                         e * self.den)
 
     def det(self) -> int:
         d = _linalg.int_det(self.num)
@@ -115,14 +122,13 @@ class Isometry:
         return 1 if d > 0 else -1
 
     def __neg__(self) -> "Isometry":
-        return _isometry(self.space, tuple(tuple(-x for x in row) for row in self.num),
-                         self.den)
+        return _isometry(self.space,
+                         [tuple((j, -x) for j, x in row) for row in self.num], self.den)
 
     def to_rows(self) -> list[list[str]]:
         from .rational import fmt_q
 
-        q = {x: fmt_q(Fraction(x, self.den)) for x in set(chain(*self.num))}
-        return [[q[x] for x in row] for row in self.num]
+        return self._dense({x: fmt_q(Fraction(x, self.den)) for x in self._entries()})
 
     def to_dict(self) -> dict:
         # construction already validated Gram compatibility, so the flag
@@ -137,8 +143,9 @@ def _isometry(space: LLVSpace, num, den: int) -> Isometry:
     return g
 
 
-def _scaled_identity(dim: int, d: int) -> list[list[int]]:
-    return [[d if i == j else 0 for j in range(dim)] for i in range(dim)]
+def _scaled_identity(dim: int, d: int) -> list[tuple]:
+    """The sparse rows of d times the identity."""
+    return [((i, d),) for i in range(dim)]
 
 
 def isometry_from_rows(space: LLVSpace, rows) -> Isometry:
@@ -163,12 +170,14 @@ def b_lambda(space: LLVSpace, lam) -> Isometry:
     c, a = _linalg.to_int(space.h2.vector(lam))
     gc = space.h2.gram_vec(c)
     k = space.h2.rank
-    rows = _scaled_identity(space.dim, 2 * a * a)
-    for i in range(k):
-        rows[1 + i][0] = 2 * a * c[i]
-        rows[k + 1][1 + i] = 2 * a * gc[i]
-    rows[k + 1][0] = sum(map(mul, c, gc))
-    return _isometry(space, rows, 2 * a * a)
+    d = 2 * a * a
+    rows = _scaled_identity(space.dim, d)
+    for i, ci in enumerate(c, 1):
+        if ci:
+            rows[i] = ((0, 2 * a * ci), (i, d))
+    beta = [(0, sum(map(mul, c, gc)))] + [(i, 2 * a * g) for i, g in enumerate(gc, 1)]
+    rows[k + 1] = tuple(e for e in beta if e[1]) + ((k + 1, d),)
+    return _isometry(space, rows, d)
 
 
 def reflection(space: LLVSpace, u: LLVVector) -> Isometry:
@@ -185,14 +194,16 @@ def reflection(space: LLVSpace, u: LLVVector) -> Isometry:
     rows = _scaled_identity(space.dim, cc)
     for i, ci in enumerate(c):
         if ci:
-            rows[i] = [x - 2 * ci * g for x, g in zip(rows[i], gc)]
+            row = [-2 * ci * g for g in gc]
+            row[i] += cc
+            rows[i] = tuple((j, x) for j, x in enumerate(row) if x)
     return _isometry(space, rows, cc)
 
 
 def duality_D(space: LLVSpace) -> Isometry:
     """The involution r alpha + v + s beta -> r alpha - v + s beta."""
     rows = _scaled_identity(space.dim, -1)
-    rows[0][0] = rows[-1][-1] = 1
+    rows[0], rows[-1] = ((0, 1),), ((space.dim - 1, 1),)
     return _isometry(space, rows, 1)
 
 
@@ -210,8 +221,8 @@ def eta_extend(g: Isometry, n: int) -> Isometry:
         raise DomainError("eta_extend expects an isometry of the K3 space")
     target = make_space("HilbK3", n)
     k = g.space.h2.rank + 1  # index of delta in the target
-    rows = [row[:k] + (0,) + row[k:] for row in g.num]
-    rows.insert(k, (0,) * k + (g.den, 0))
+    rows = [tuple((j + (j >= k), x) for j, x in row) for row in g.num]
+    rows.insert(k, ((k, g.den),))
     return _isometry(target, rows, g.den)
 
 
@@ -226,20 +237,12 @@ def det_and_orientation(g: Isometry) -> tuple[int, int]:
     space = g.space
     if space.h2.labels[:6] != ("e1", "f1", "e2", "f2", "e3", "f3"):
         raise DomainError("orientation frame needs three leading U blocks")
-    k = space.h2.rank
-
-    def h2v(i):
-        return tuple(1 if j == i else 0 for j in range(k))
-
-    frame = [
-        LLVVector.make(1, (0,) * k, -1),
-        LLVVector.make(0, tuple(a + b for a, b in zip(h2v(0), h2v(1))), 0),
-        LLVVector.make(0, tuple(a + b for a, b in zip(h2v(2), h2v(3))), 0),
-        LLVVector.make(0, tuple(a + b for a, b in zip(h2v(4), h2v(5))), 0),
-    ]
-    # the common denominator of the frame pairings is positive: same sign
-    gram, _ = _linalg.to_int_matrix(
-        [[space.pair(g.apply(w), w2) for w2 in frame] for w in frame])
-    d = _linalg.int_det(gram)
+    dim = space.dim
+    frame = (((0, 1), (dim - 1, -1)), ((1, 1), (2, 1)), ((3, 1), (4, 1)), ((5, 1), (6, 1)))
+    # the pairings times d > 0, transposed: F (G N) F^T, of the same sign
+    gn = _linalg.sparse_mul(space.full.rows, g.num)
+    pairings = _linalg.sparse_mul(_linalg.sparse_mul(frame, gn),
+                                  _linalg.transpose(frame, dim))
+    d = _linalg.int_det(pairings)
     certify(d != 0, "an isometry keeps the positive frame nondegenerate")
     return g.det(), (1 if d > 0 else -1)

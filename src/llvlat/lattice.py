@@ -85,8 +85,7 @@ class QuadLattice:
     @cached_property
     def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Row i of the Gram as the pairs (j, g_ij) with g_ij != 0."""
-        return tuple(tuple((j, g) for j, g in enumerate(row) if g)
-                     for row in self.gram)
+        return _linalg.sparse(self.gram)
 
     @cached_property
     def inverse(self) -> _linalg.Matrix:

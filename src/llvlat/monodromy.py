@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from . import arith, cohomology as coh
@@ -37,8 +38,7 @@ def phi_p(k3: LLVSpace) -> Isometry:
     if k3.dtype != "K3":
         raise DomainError("phi_p lives on the K3 space")
     rows = _scaled_identity(k3.dim, -1)
-    rows[0][0] = rows[-1][-1] = 0
-    rows[0][-1] = rows[-1][0] = 1
+    rows[0], rows[-1] = ((k3.dim - 1, 1),), ((0, 1),)
     return _isometry(k3, rows, 1)
 
 
@@ -49,18 +49,22 @@ class DMonLift:
     lifted: Isometry
 
 
+@lru_cache(maxsize=32)
+def _b_half_delta_pair(n: int) -> tuple[Isometry, Isometry]:
+    """(B_{-delta/2}, B_{delta/2}) on the n-th Hilbert-scheme space."""
+    target = make_space("HilbK3", n)
+    half = tuple(Fraction(1, 2) * c for c in target.delta())
+    return b_lambda(target, tuple(-c for c in half)), b_lambda(target, half)
+
+
 def dmon_lift(g: Isometry, n: int) -> DMonLift:
     """Lift a K3 Mukai-lattice isometry to the Hilbert-scheme LLV space."""
     if g.space.dtype != "K3":
         raise DomainError("dmon_lift expects an isometry of the K3 space")
     if n < 2:
         raise DomainError("n must be at least 2")
-    target = make_space("HilbK3", n)
-    half = tuple(Fraction(1, 2) * c for c in target.delta())
-    minus_half = tuple(-c for c in half)
-    core = b_lambda(target, minus_half).compose(
-        eta_extend(g, n).compose(b_lambda(target, half))
-    )
+    b_minus, b_plus = _b_half_delta_pair(n)
+    core = b_minus.compose(eta_extend(g, n).compose(b_plus))
     if g.det() ** (n + 1) == -1:
         core = -core
     return DMonLift(g, n, core)

@@ -465,3 +465,18 @@ def test_wrong_field_types_exit3(capsys):
         code, out, err = run_cli(args, capsys)
         assert (code, out) == (3, ""), args
         assert err.startswith("parse error:"), args
+
+
+def test_malformed_rational_names_field(capsys):
+    # the refusal says which field held the text parse_q could not read
+    comma_h = ",".join(["1"] * 22 + ["x"])
+    for args, key, text in (
+            (["chern", "--family", "phiO", "--r0", "x", "--h-sq", "6"], "--r0", "x"),
+            (["chern", "--family", "lagrangian", "--lambda-sq", "6", "--chi-z", "1/0"],
+             "--chi-z", "1/0"),
+            (["chern", "--family", "phiO", "--r0", "1", "--h", comma_h], "--h", "x"),
+            (["ell", "--json", '{"family":"PhiO","r0":1,"h":"1/0*e1"}'], "h", "1/0"),
+            (["ell", "--json", '{"family":"PhiO","r0":"2/3/4","h":"e1"}'], "r0", "2/3/4")):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (3, ""), args
+        assert err == f"parse error: field {key!r} is not a rational: {text!r}\n", args
