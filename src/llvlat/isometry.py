@@ -77,8 +77,13 @@ class Isometry:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def _dense(self, q: dict) -> list:
-        """Rows of q[N_ij], q mapping each distinct entry (0 included)."""
+    def _dense(self, fmt) -> list[list]:
+        """The rows of fmt(M_ij), fmt called once per distinct entry.
+
+        Most entries repeat (0, +-d, ...), so this builds few Fractions.
+        """
+        q = {x: fmt(Fraction(x, self.den))
+             for x in {0}.union(*({x for _, x in row} for row in self.num))}
         out = []
         for row in self.num:
             dense = [q[0]] * self.space.dim
@@ -87,14 +92,9 @@ class Isometry:
             out.append(dense)
         return out
 
-    def _entries(self) -> set:
-        return {0}.union(*({x for _, x in row} for row in self.num))
-
     @cached_property
     def m(self) -> _linalg.Matrix:
-        # one Fraction per distinct entry: most entries repeat (0, +-d, ...)
-        q = {x: Fraction(x, self.den) for x in self._entries()}
-        return tuple(map(tuple, self._dense(q)))
+        return tuple(map(tuple, self._dense(Fraction)))
 
     def apply(self, x: LLVVector) -> LLVVector:
         c, a = _linalg.to_int(x.coords())
@@ -128,7 +128,7 @@ class Isometry:
     def to_rows(self) -> list[list[str]]:
         from .rational import fmt_q
 
-        return self._dense({x: fmt_q(Fraction(x, self.den)) for x in self._entries()})
+        return self._dense(fmt_q)
 
     def to_dict(self) -> dict:
         # construction already validated Gram compatibility, so the flag
