@@ -27,6 +27,7 @@ from .lattice import (
     div_in_lambda,
     in_integral_llv,
     is_primitive_in_lambda,
+    lambda_coords,
     make_lattice,
     make_space,
     orbit_invariants_equal,

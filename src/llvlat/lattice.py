@@ -23,6 +23,10 @@ integral LLV lattice of a Hilbert scheme is the image of the standard
 integral lattice Z*alpha + H^2(Z) + Z*beta under the unipotent isometry
 B_{-delta/2}; it is the lattice preserved by the derived monodromy group,
 and membership and divisibility in it gate most constructions downstream.
+Read in the basis B_{-delta/2}(alpha, H^2 basis..., beta), Lambda is
+``space.full`` itself: ``lambda_coords`` gives the integer coordinates of
+a member (None outside Lambda), and primitivity and divisibility in Lambda
+are ``space.full.is_primitive`` and ``space.full.divisibility`` of them.
 
 ``make_lattice`` and ``make_space`` are memoized on (preset, n), with the
 three spellings of the K3 space ("K3", "K3" with n = 1, "HilbK3" with
@@ -119,25 +123,24 @@ class QuadLattice:
     def is_integral(self, x) -> bool:
         return all(Fraction(c).denominator == 1 for c in x)
 
+    def _int_vector(self, x, what: str) -> list[int]:
+        """The entries of x as ints, refusing non-integral and zero vectors."""
+        xs, a = _linalg.to_int(self.vector(x))
+        if a != 1:
+            raise DomainError(f"{what} is defined for integral vectors only")
+        if not any(xs):
+            raise DomainError(f"{what} of the zero vector")
+        return xs
+
     def divisibility(self, x) -> int:
         """gcd of the pairings of an integral vector against the lattice."""
-        v = self.vector(x)
-        if not self.is_integral(v):
-            raise DomainError("divisibility is defined for integral vectors only")
-        if all(c == 0 for c in v):
-            raise DomainError("divisibility of the zero vector")
-        return gcd(*(int(p) for p in self.gram_vec(v)))
+        pairings = self.gram_vec(self._int_vector(x, "divisibility"))
+        certify(all(type(p) is int for p in pairings),
+                "pairings of an integral vector are integers")
+        return gcd(*pairings)
 
     def is_primitive(self, x) -> bool:
-        v = self.vector(x)
-        if not self.is_integral(v):
-            raise DomainError("primitivity is defined for integral vectors only")
-        if all(c == 0 for c in v):
-            raise DomainError("primitivity of the zero vector")
-        d = 0
-        for c in v:
-            d = gcd(d, int(c))
-        return d == 1
+        return gcd(*self._int_vector(x, "primitivity")) == 1
 
     def signature(self) -> tuple[int, int]:
         pos, neg, zero = _linalg.signature(self.gram)
@@ -261,9 +264,6 @@ class LLVVector:
         c = tuple(Fraction(x) for x in c)
         return LLVVector(c[0], c[1:-1], c[-1])
 
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for x in self.coords())
-
 
 @dataclass(frozen=True)
 class LLVSpace:
@@ -377,37 +377,29 @@ def _space(preset: str, n: int) -> LLVSpace:
 # ---------------------------------------------------------------------------
 # integral LLV lattice of Hilbert schemes
 
-def _b_half_delta(space: LLVSpace, x: LLVVector, sign: int) -> LLVVector:
-    half = tuple(Fraction(sign, 2) * c for c in space.delta())
-    return space.b_lambda_apply(half, x)
-
-
-def _lambda_coords(space: LLVSpace, x: LLVVector) -> tuple | None:
+def lambda_coords(space: LLVSpace, x: LLVVector) -> tuple[int, ...] | None:
     """Coordinates of x in the integral LLV lattice, or None outside it.
 
-    In the basis B_{-delta/2}(alpha, H^2 basis..., beta) of Lambda they are
-    the coordinates of B_{delta/2}(x) in the standard basis.
+    B_{delta/2} is an isometry, so in the basis B_{-delta/2}(alpha, H^2
+    basis..., beta) Lambda is ``space.full``, and the coordinates of x are
+    the standard ones of B_{delta/2}(x) = (r, v + (r/2) delta,
+    s + (1 - n)(v_delta + r/4)), computed here over one denominator.
     """
     if space.dtype != "Hilb":
         raise DomainError("integral LLV lattice implemented for HilbK3 spaces")
-    w = _b_half_delta(space, x, +1)
-    return w.coords() if w.is_integral() else None
+    c, a = _linalg.to_int((x.r,) + space.h2.vector(x.v) + (x.s,))
+    r, v_delta = c[0], c[-2]
+    c = [4 * e for e in c]  # 4a B_{delta/2}(x)
+    c[-2] += 2 * r
+    c[-1] += (1 - space.n) * (4 * v_delta + r)
+    a *= 4
+    if any(e % a for e in c):
+        return None
+    return tuple(e // a for e in c)
 
 
-def _lambda_gcds(space: LLVSpace, w: tuple) -> tuple[int, int]:
-    """(gcd of the coordinates, divisibility) of a member of Lambda.
-
-    Pairings against the generators B_{-delta/2}(standard basis) equal the
-    pairings of B_{delta/2}(x) against the standard basis.
-    """
-    pairings = space.full.gram_vec(w)
-    certify(all(p.denominator == 1 for p in pairings),
-            "pairings of a member of Lambda are integers")
-    return gcd(*(int(c) for c in w)), gcd(*(int(p) for p in pairings))
-
-
-def _member_coords(space: LLVSpace, x: LLVVector) -> tuple:
-    w = _lambda_coords(space, x)
+def _member_coords(space: LLVSpace, x: LLVVector) -> tuple[int, ...]:
+    w = lambda_coords(space, x)
     if w is None:
         raise DomainError("vector is not in the integral LLV lattice")
     return w
@@ -415,19 +407,18 @@ def _member_coords(space: LLVSpace, x: LLVVector) -> tuple:
 
 def in_integral_llv(space: LLVSpace, x: LLVVector) -> bool:
     """Membership in B_{-delta/2}(Z alpha + H^2(Z) + Z beta)."""
-    return _lambda_coords(space, x) is not None
+    return lambda_coords(space, x) is not None
 
 
 def div_in_lambda(space: LLVSpace, x: LLVVector) -> int:
     """Divisibility of a member of the integral LLV lattice."""
-    w = _member_coords(space, x)
-    if x.is_zero():
-        raise DomainError("divisibility of the zero vector")
-    return _lambda_gcds(space, w)[1]
+    return space.full.divisibility(_member_coords(space, x))
 
 
 def is_primitive_in_lambda(space: LLVSpace, x: LLVVector) -> bool:
-    return _lambda_gcds(space, _member_coords(space, x))[0] == 1
+    """Primitivity in the integral LLV lattice; zero is not primitive."""
+    w = _member_coords(space, x)
+    return any(w) and space.full.is_primitive(w)
 
 
 def orbit_invariants_equal(lattice: QuadLattice, x, y) -> bool:

@@ -21,7 +21,7 @@ from . import cohomology as coh
 from .errors import DomainError, NotRealizableError, certify
 from .harmonic import project_harmonic
 from .isometry import b_lambda, duality_D
-from .lattice import LLVSpace, LLVVector, _lambda_coords, _lambda_gcds
+from .lattice import LLVSpace, LLVVector, lambda_coords
 from .rational import fmt_q
 
 
@@ -117,18 +117,18 @@ def ell_lagrangian(space: LLVSpace, lam, t):
 def _lambda_gate(space: LLVSpace, gamma: LLVVector, div: int) -> dict:
     """Require gamma in Lambda, primitive there, of divisibility ``div``.
 
-    All three are read off one coordinate vector B_{delta/2}(gamma).
+    All three are read off one coordinate vector, ``lambda_coords(gamma)``.
     Returns the report entries the gates certify.
     """
-    w = _lambda_coords(space, gamma)
+    w = lambda_coords(space, gamma)
     if w is None:
         raise NotRealizableError(
             "gamma must lie in the integral LLV lattice", "membership failed"
         )
-    content, got = _lambda_gcds(space, w)
-    if content != 1:
+    if not (any(w) and space.full.is_primitive(w)):
         raise NotRealizableError("gamma must be primitive in the integral "
                                  "LLV lattice")
+    got = space.full.divisibility(w)
     if got != div:
         raise NotRealizableError(
             f"gamma must have divisibility {div} in the integral LLV lattice",

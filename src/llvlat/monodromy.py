@@ -70,8 +70,12 @@ def dmon_lift(g: Isometry, n: int) -> DMonLift:
     return DMonLift(g, n, core)
 
 
+@lru_cache(maxsize=32)
 def chi_involution(space: LLVSpace) -> Isometry:
-    """Sign-character action: (-1)^(n+1) times reflection orthogonal to u0."""
+    """Sign-character action: (-1)^(n+1) times reflection orthogonal to u0.
+
+    It depends only on the space, so it is built and Gram-checked once.
+    """
     if space.dtype != "Hilb" or space.n < 2:
         raise DomainError("chi involution lives on Hilbert schemes, n >= 2")
     # (u0, u0) = 2 - 2n, so the reflection is x -> x + (x, u0)/(n-1) u0
@@ -136,9 +140,7 @@ def fz_bundle_c1(r0: int, lam, n: int):
         + (-Fraction(nf * r0**n, 2),)
     v = LLVVector.make(r0, lamv, Fraction(q, 2 * r0))
     certify(k3.pair(v, v) == 0, "the K3 Mukai vector is isotropic")
-    half = tuple(Fraction(1, 2) * c for c in target.delta())
-    gen = target.b_lambda_apply(tuple(-c for c in half),
-                                theta_embed(k3, target, v))
+    gen = _b_half_delta_pair(n)[0].apply(theta_embed(k3, target, v))
     # normal form: gamma = r0 alpha + c1/(n! r0^(n-1)) + ... beta
     gamma = LLVVector.make(
         r0,

@@ -50,6 +50,16 @@ def test_ell_congruence_failure_exit2(capsys):
     assert "5 + (eta, eta)/2" in err
 
 
+def test_ell_lambda_gate_refusal_exit2(capsys):
+    # the congruence holds, and the integral LLV lattice gate refuses
+    spec = '{"family":"PhiO","r0":2,"h":"-4*e1-4*f1+d"}'
+    code, out, err = run_cli(["ell", "--json", spec], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("domain error: gamma must have divisibility 2 in the "
+                   "integral LLV lattice (got 1)\n")
+
+
 def test_h2_parser_variants(capsys):
     # label expressions with and without stars, fractions, negatives
     for expr, r_expect in [

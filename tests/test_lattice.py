@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from llvlat import (
     DomainError,
@@ -11,6 +12,7 @@ from llvlat import (
     div_in_lambda,
     in_integral_llv,
     is_primitive_in_lambda,
+    lambda_coords,
     make_lattice,
     make_space,
     orbit_invariants_equal,
@@ -191,9 +193,44 @@ def test_lambda_closure_randomized():
 
 
 def test_lambda_wrong_type():
-    kum = make_space("Kum", 2)
-    with pytest.raises(DomainError):
-        in_integral_llv(kum, kum.beta())
+    # Lambda is defined here for Hilbert schemes only
+    for sp in (make_space("K3"), make_space("Kum", 2), make_space("Kum", 3)):
+        for fn in (lambda_coords, in_integral_llv, div_in_lambda,
+                   is_primitive_in_lambda):
+            with pytest.raises(DomainError, match="for HilbK3 spaces"):
+                fn(sp, sp.beta())
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(st.data(), st.integers(2, 6))
+def test_lambda_coords_match_b_half_delta_oracle(data, n):
+    # lambda_coords(x) are the standard coordinates of B_{delta/2}(x) when
+    # those are integral, and None otherwise; on members, primitivity and
+    # divisibility are the two gcds, computed here
+    sp = make_space("HilbK3", n)
+    small = st.integers(-6, 6)
+    w = data.draw(st.sampled_from((1, 2, 3))) * LLVVector.make(
+        data.draw(small), data.draw(st.lists(small, min_size=23, max_size=23)),
+        data.draw(small))
+    x = sp.b_lambda_apply(tuple(-Q(1, 2) * c for c in sp.delta()), w)
+    den = data.draw(st.sampled_from((1, 1, 2, 3, 4, 8)))
+    if den > 1:
+        bump = Q(data.draw(st.integers(1, den - 1)), den)
+        where = data.draw(st.sampled_from(("r", "v_delta", "s")))
+        x = x + LLVVector.make(bump if where == "r" else 0,
+                               (0,) * 22 + (bump if where == "v_delta" else 0,),
+                               bump if where == "s" else 0)
+    oracle = sp.b_lambda_apply(tuple(Q(1, 2) * c for c in sp.delta()), x).coords()
+    got = lambda_coords(sp, x)
+    if any(c.denominator != 1 for c in oracle):
+        assert got is None
+        assert not in_integral_llv(sp, x)
+        return
+    assert got == oracle and all(type(c) is int for c in got)
+    assert in_integral_llv(sp, x)
+    assert is_primitive_in_lambda(sp, x) == (gcd(*got) == 1)
+    if any(got):
+        assert div_in_lambda(sp, x) == gcd(*sp.full.gram_vec(got))
 
 
 def test_orbit_invariants():
@@ -331,19 +368,22 @@ def test_k3_space_spellings_are_one_object():
 
 def test_lambda_gates_read_one_b_half_delta(monkeypatch):
     # membership, primitivity and divisibility are read off one
-    # B_{delta/2}(x) per call, in each public function and in the gate
+    # lambda_coords(x), the coordinates B_{delta/2}(x), per call, in each
+    # public function and in the gate
     import llvlat.lattice as lat
+    import llvlat.lines as lines
     from llvlat import ell_isotropic, ell_phiO
 
     sp = make_space("HilbK3", 2)
     calls = []
-    real = lat._b_half_delta
+    real = lat.lambda_coords
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(lat, "_b_half_delta", counting)
+    monkeypatch.setattr(lat, "lambda_coords", counting)
+    monkeypatch.setattr(lines, "lambda_coords", counting)
     gamma0 = LLVVector.make(2, (0,) * 23, Q(5, 2))
     for fn, want in ((in_integral_llv, True), (div_in_lambda, 2),
                      (is_primitive_in_lambda, True)):
@@ -376,8 +416,10 @@ def test_lambda_gate_refusals_unchanged():
         div_in_lambda(sp, sp.alpha())
     with pytest.raises(DomainError, match="not in the integral LLV lattice"):
         is_primitive_in_lambda(sp, sp.alpha())
+    zero = LLVVector.make(0, (0,) * 23, 0)
     with pytest.raises(DomainError, match="divisibility of the zero vector"):
-        div_in_lambda(sp, LLVVector.make(0, (0,) * 23, 0))
+        div_in_lambda(sp, zero)
+    assert is_primitive_in_lambda(sp, zero) is False
     assert not is_primitive_in_lambda(sp, 2 * gamma0)
 
 
