@@ -25,16 +25,27 @@ The projection onto ker(Delta) is computed as Pi(x) = sum_i c_i qt^i
 Delta^i(x) with rational coefficients c_i determined by a triangular
 recurrence; the result is verified to satisfy Delta(Pi(x)) = 0 after the
 fact, and Pi is exactly the projection along qt * Sym^(deg-2).
+
+The kernels compute over the integers.  An element's coefficients are
+read once as integer numerators over their least common denominator
+(``_ints``), Delta, the projection, products and powers run on those
+numerators, and Fractions are built once for the result (``_fractions``).
+A context keeps its Gram as integer numerators over one denominator.  Delta
+of a monomial walks its runs of equal generators rather than its pairs of
+slots: a run of e copies of g contributes C(e, 2) (g, g), and two runs of
+e_a copies of a and e_b copies of b contribute e_a e_b (a, b).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from functools import cache, lru_cache
+from itertools import combinations_with_replacement
+from math import factorial, gcd, lcm
 
-from .errors import DomainError
+from . import _linalg
+from .errors import DomainError, certify
 from .lattice import LLVSpace, LLVVector
 from .rational import nth_root_rational
 
@@ -50,19 +61,71 @@ def _add(out: dict, key: Key, c: Fraction) -> None:
         out.pop(key, None)
 
 
+def _ints(terms: dict[Key, Fraction]) -> tuple[dict[Key, int], int]:
+    """Coefficients as integer numerators over their least common denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+
+
+def _fractions(nums: dict[Key, int], den: int) -> dict[Key, Fraction]:
+    """The coefficients nums / den, dropping the zeros."""
+    return {k: Fraction(c, den) for k, c in nums.items() if c}
+
+
+def _mul_ints(a: dict[Key, int], b: dict[Key, int]) -> dict[Key, int]:
+    """Product of two elements given by integer numerators."""
+    out: dict[Key, int] = {}
+    for (j1, m1), c1 in a.items():
+        for (j2, m2), c2 in b.items():
+            key = (j1 + j2, tuple(sorted(m1 + m2)))
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def _runs(mono: tuple[int, ...]) -> list[list[int]]:
+    """Runs of equal generators in a sorted monomial: [generator, start, length]."""
+    runs = []
+    for pos, g in enumerate(mono):
+        if runs and runs[-1][0] == g:
+            runs[-1][2] += 1
+        else:
+            runs.append([g, pos, 1])
+    return runs
+
+
 @dataclass(frozen=True)
 class GeneratorContext:
-    """Finite generator list with its exact pairing matrix."""
+    """Finite generator list with its exact pairing matrix.
+
+    ``gram_g`` holds the pairings as Fractions; the kernels read them as
+    the integer numerators ``_gram_num`` over one denominator ``_gram_den``.
+    """
 
     space: LLVSpace
     gens: tuple[LLVVector, ...]
     gram_g: tuple[tuple[Fraction, ...], ...] = field(init=False)
+    _gram_num: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _gram_den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = tuple(
-            tuple(self.space.pair(a, b) for b in self.gens) for a in self.gens
-        )
-        object.__setattr__(self, "gram_g", g)
+        # one integer pass: generator i is ys[i] / den, so its pairing with
+        # generator j is ys[j] . (G ys[i]) / den^2
+        full = self.space.full
+        flat, den = _linalg.to_int([c for g in self.gens for c in full.vector(g.coords())])
+        ys = [flat[i:i + full.rank] for i in range(0, len(flat), full.rank)]
+        nonzero = [[(k, c) for k, c in enumerate(y) if c] for y in ys]
+        num = [[0] * len(ys) for _ in ys]
+        for i, y in enumerate(ys):
+            gy = full.gram_vec(y)
+            for j in range(i, len(ys)):
+                num[i][j] = num[j][i] = sum(c * gy[k] for k, c in nonzero[j])
+        sq = den * den
+        common = gcd(sq, *(p for row in num for p in row))
+        frac = {p: Fraction(p, sq) for row in num for p in row}
+        object.__setattr__(self, "gram_g", tuple(tuple(frac[p] for p in row) for row in num))
+        object.__setattr__(self, "_gram_num",
+                           tuple(tuple(p // common for p in row) for row in num))
+        object.__setattr__(self, "_gram_den", sq // common)
 
     @property
     def ambient_dim(self) -> int:
@@ -142,17 +205,36 @@ class ReducedSymElement:
         """Product in the free commutative algebra on generators and qt."""
         if not isinstance(other, ReducedSymElement):
             return NotImplemented
-        out: dict[Key, Fraction] = {}
-        for (j1, m1), c1 in self.terms.items():
-            for (j2, m2), c2 in other.terms.items():
-                _add(out, (j1 + j2, tuple(sorted(m1 + m2))), c1 * c2)
-        return ReducedSymElement(self.ctx, out)
+        a, da = _ints(self.terms)
+        b, db = _ints(other.terms)
+        return ReducedSymElement(self.ctx, _fractions(_mul_ints(a, b), da * db))
 
     def power(self, k: int) -> "ReducedSymElement":
+        if self.degree == 1 and k > 0:
+            return self._linear_power(k)
         out = ReducedSymElement.monomial(self.ctx, ())
         for _ in range(k):
             out = out * self
         return out
+
+    def _linear_power(self, k: int) -> "ReducedSymElement":
+        """(sum_g c_g g)^k by the multinomial theorem.
+
+        The monomial with e_g copies of each g has coefficient
+        k! / prod(e_g!) * prod(c_g^e_g); the c_g are integers over den, so
+        every coefficient is an integer over den^k.
+        """
+        nums, den = _ints(self.terms)
+        coeff = {m[0]: c for (_, m), c in nums.items()}
+        fk = factorial(k)
+        out: dict[Key, int] = {}
+        for mono in combinations_with_replacement(sorted(coeff), k):
+            c, split = 1, 1
+            for g, _, e in _runs(mono):
+                c *= coeff[g] ** e
+                split *= factorial(e)
+            out[(0, mono)] = fk // split * c
+        return ReducedSymElement(self.ctx, _fractions(out, den ** k))
 
     def coeff(self, indices, qt_power: int = 0) -> Fraction:
         return self.terms.get((qt_power, tuple(sorted(indices))), Fraction(0))
@@ -175,38 +257,52 @@ class ReducedSymElement:
         ]
 
 
-def _delta_term(ctx, j, mono, coeff, out):
-    """Accumulate Delta(coeff * qt^j * mono) into out.
+def _delta_ints(ctx: GeneratorContext, nums: dict[Key, int],
+                den: int) -> tuple[dict[Key, int], int]:
+    """Delta of sum nums[key] qt^j m / den, as (numerators, denominator).
 
     Delta(qt^j m) = _qt_crossing(j, deg m, N) qt^(j-1) m + qt^j Delta(m),
-    and Delta(m) sums the pairings of the generator pairs in m.
+    and Delta(m) sums the pairings over the runs of m.  The crossing
+    coefficients are integers over N and the pairings integers over the
+    context's Gram denominator, so the result is over den * lcm of both.
     """
-    k = len(mono)
-    if j:
-        _add(out, (j - 1, mono), coeff * _qt_crossing(j, k, ctx.ambient_dim))
-    g = ctx.gram_g
-    for a in range(k):
-        for b in range(a + 1, k):
-            p = g[mono[a]][mono[b]]
-            if p:
-                rest = mono[:a] + mono[a + 1 : b] + mono[b + 1 :]
-                _add(out, (j, rest), coeff * p)
+    n_amb = ctx.ambient_dim
+    gram, gram_den = ctx._gram_num, ctx._gram_den
+    scale = lcm(n_amb, gram_den)
+    cross, pairing = scale // n_amb, scale // gram_den
+    out: dict[Key, int] = {}
+    for (j, m), c in nums.items():
+        if j:
+            # N * _qt_crossing(j, len(m), N)
+            key = (j - 1, m)
+            out[key] = out.get(key, 0) + c * cross * j * (n_amb + 2 * len(m) + 2 * (j - 1))
+        c *= pairing
+        runs = _runs(m)
+        for ia, (a, pa, ea) in enumerate(runs):
+            row = gram[a]
+            if ea > 1 and row[a]:
+                key = (j, m[:pa] + m[pa + 2:])
+                out[key] = out.get(key, 0) + c * (ea * (ea - 1) // 2) * row[a]
+            for b, pb, eb in runs[ia + 1:]:
+                if row[b]:
+                    key = (j, m[:pa] + m[pa + 1:pb] + m[pb + 1:])
+                    out[key] = out.get(key, 0) + c * ea * eb * row[b]
+    return {k: c for k, c in out.items() if c}, den * scale
 
 
 def delta_apply(x: ReducedSymElement) -> ReducedSymElement:
     """The degree -2 contraction operator."""
-    out: dict[Key, Fraction] = {}
-    for (j, m), c in x.terms.items():
-        _delta_term(x.ctx, j, m, c, out)
-    return ReducedSymElement(x.ctx, out)
+    nums, den = _delta_ints(x.ctx, *_ints(x.terms))
+    return ReducedSymElement(x.ctx, _fractions(nums, den))
 
 
 def _qt_crossing(i: int, d: int, n_amb: int) -> Fraction:
-    """Coefficient a with Delta(qt^i y) = a qt^(i-1) y + qt^i Delta(y), deg y = d."""
-    a = Fraction(0)
-    for m in range(1, i + 1):
-        a += 1 + Fraction(2 * (2 * (m - 1) + d), n_amb)
-    return a
+    """Coefficient a with Delta(qt^i y) = a qt^(i-1) y + qt^i Delta(y), deg y = d.
+
+    Crossing the m-th factor of qt adds 1 + 2 (2 (m - 1) + d) / N; summed
+    over m = 1..i that is i (N + 2 d + 2 (i - 1)) / N.
+    """
+    return Fraction(i * (n_amb + 2 * d + 2 * (i - 1)), n_amb)
 
 
 def project_harmonic(x: ReducedSymElement) -> ReducedSymElement:
@@ -214,30 +310,37 @@ def project_harmonic(x: ReducedSymElement) -> ReducedSymElement:
 
     Pi(x) = sum_i c_i qt^i Delta^i(x), where the c_i solve the triangular
     system that makes every contraction term cancel; idempotent and linear.
+    Each Delta^i(x) is kept as integer numerators over a denominator, and
+    the sum is taken once, over the least common denominator of the
+    c_i / den_i.
     """
     n = x.degree
     if n is None:
         return x
-    n_amb = x.ctx.ambient_dim
-    result = dict(x.terms)
+    ctx = x.ctx
+    y, den = _ints(x.terms)
+    parts = [(0, Fraction(1, den), y)]  # (i, c_i / den_i, numerators of Delta^i(x))
     c = Fraction(1)
-    y = x
     i = 0
     while True:
-        y = delta_apply(y)
+        y, den = _delta_ints(ctx, y, den)
         i += 1
-        if y.is_zero() or 2 * i > n:
+        if not y or 2 * i > n:
             break
-        a = _qt_crossing(i, n - 2 * i, n_amb)
-        if a == 0:
-            raise DomainError("projection system is singular")
+        a = _qt_crossing(i, n - 2 * i, ctx.ambient_dim)
+        certify(a != 0, "the projection system is nonsingular")
         c = -c / a
-        for (j, m), v in y.terms.items():
-            _add(result, (j + i, m), c * v)
-    out = ReducedSymElement(x.ctx, result)
-    if not delta_apply(out).is_zero():
-        raise DomainError("projection failed to land in ker(Delta)")
-    return out
+        parts.append((i, c / den, y))
+    common = lcm(*(f.denominator for _, f, _ in parts))
+    result: dict[Key, int] = {}
+    for i, f, y in parts:
+        f = f.numerator * (common // f.denominator)
+        for (j, m), v in y.items():
+            key = (j + i, m)
+            result[key] = result.get(key, 0) + f * v
+    result = {k: v for k, v in result.items() if v}
+    certify(not _delta_ints(ctx, result, common)[0], "Delta(Pi(x)) = 0")
+    return ReducedSymElement(ctx, _fractions(result, common))
 
 
 def psi_power_line(space: LLVSpace, gamma: LLVVector, n: int,
@@ -293,22 +396,19 @@ def recover_line(h: ReducedSymElement) -> LLVVector:
             slopes[i] = ci
             lam = [a + ci * b for a, b in zip(lam, g.v)]
 
-    def candidate(s):
-        lin = ReducedSymElement.monomial(ctx, (ia,), r)
-        lin = lin + ReducedSymElement.monomial(ctx, (ib,), s)
-        for i, ci in slopes.items():
-            lin = lin + ReducedSymElement.monomial(ctx, (i,), ci)
-        return lin
+    target = Fraction(factorial(n)) * h
+    expanded_target = cache(lambda: expand_qtilde(target))
 
     def matches(s):
-        check = project_harmonic(candidate(s).power(n))
-        target = Fraction(factorial(n)) * h
+        coeffs = ((ia, r), (ib, s), *slopes.items())
+        lin = ReducedSymElement(ctx, {(0, (i,)): c for i, c in coeffs if c})
+        check = project_harmonic(lin.power(n))
         if check.terms == target.terms:
             return True
         # formal qt content may differ between equal tensors; compare the
         # expanded forms when the context is the standard full basis
         try:
-            return expand_qtilde(check).terms == expand_qtilde(target).terms
+            return expand_qtilde(check).terms == expanded_target().terms
         except DomainError:
             return False
 
@@ -321,7 +421,7 @@ def recover_line(h: ReducedSymElement) -> LLVVector:
         #   C = n r^(n-1) s - C(n,2) ((lam,lam) - 2 r s) r^(n-2) (2/N) c1
         # with c1 = -1 / (1 + 2(n-2)/N)
         try:
-            expanded = expand_qtilde(Fraction(factorial(n)) * h)
+            expanded = expanded_target()
         except DomainError as exc:
             raise DomainError("input is not the projection of an n-th "
                               "power") from exc
@@ -365,15 +465,19 @@ def _qtilde_terms(space: LLVSpace) -> dict[Key, Fraction]:
 
 def expand_qtilde(x: ReducedSymElement) -> ReducedSymElement:
     """Replace formal qt powers by the explicit dual-metric tensor."""
-    qt = qtilde_full_expansion(x.ctx)
-    out: dict[Key, Fraction] = {}
-    for (j, m), c in x.terms.items():
-        term = ReducedSymElement.monomial(x.ctx, m, c)
-        for _ in range(j):
-            term = term * qt
-        for k, v in term.terms.items():
-            _add(out, k, v)
-    return ReducedSymElement(x.ctx, out)
+    qt, qt_den = _ints(qtilde_full_expansion(x.ctx).terms)
+    nums, den = _ints(x.terms)
+    top = max((j for j, _ in nums), default=0)
+    powers = [{(0, ()): 1}]  # numerators of qt^j over qt_den^j
+    for _ in range(top):
+        powers.append(_mul_ints(powers[-1], qt))
+    out: dict[Key, int] = {}
+    for (j, m), c in nums.items():
+        c *= qt_den ** (top - j)
+        for (_, mq), v in powers[j].items():
+            key = (0, tuple(sorted(m + mq)))
+            out[key] = out.get(key, 0) + c * v
+    return ReducedSymElement(x.ctx, _fractions(out, den * qt_den ** top))
 
 
 @lru_cache(maxsize=8)

@@ -125,9 +125,17 @@ class QuadLattice:
 
     def _int_vector(self, x, what: str) -> list[int]:
         """The entries of x as ints, refusing non-integral and zero vectors."""
-        xs, a = _linalg.to_int(self.vector(x))
-        if a != 1:
-            raise DomainError(f"{what} is defined for integral vectors only")
+        xs = list(x)
+        if len(xs) != self.rank:
+            raise DomainError(
+                f"vector of length {len(xs)} in rank {self.rank} lattice"
+            )
+        for i, c in enumerate(xs):
+            if type(c) is not int:
+                c = Fraction(c)
+                if c.denominator != 1:
+                    raise DomainError(f"{what} is defined for integral vectors only")
+                xs[i] = c.numerator
         if not any(xs):
             raise DomainError(f"{what} of the zero vector")
         return xs

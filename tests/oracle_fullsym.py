@@ -127,10 +127,14 @@ def _solve(mat, rhs):
         aug[col], aug[piv] = aug[piv], aug[col]
         inv = 1 / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]
+        # the system is sparse: eliminate with the pivot row's nonzeros only
+        pivot = [(c, y) for c, y in enumerate(aug[col]) if y]
         for r in range(n):
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+                row = aug[r]
+                for c, y in pivot:
+                    row[c] -= f * y
     return [aug[i][n] for i in range(n)]
 
 

@@ -3,11 +3,15 @@ from fractions import Fraction as Q
 from math import factorial
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from llvlat import DomainError, LLVVector, make_space
+import oracle_reduced
+from llvlat import CertificateError, DomainError, LLVVector, make_space
+from llvlat import harmonic
 from llvlat.harmonic import (
     GeneratorContext,
     ReducedSymElement,
+    _qt_crossing,
     delta_apply,
     expand_qtilde,
     full_context,
@@ -63,7 +67,7 @@ def rand_gens(rng, space, count):
 # full-basis brute force
 
 @pytest.mark.parametrize("squares", [(2, -2), (2, -4, 6, -2), (4, -2, 2, -6, 8, -2)])
-@pytest.mark.parametrize("degree", [2, 3, 4])
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
 def test_delta_matches_oracle(squares, degree):
     rng = random.Random(hash((squares, degree)) & 0xFFFF)
     space = diag_space(squares)
@@ -79,7 +83,7 @@ def test_delta_matches_oracle(squares, degree):
 
 
 @pytest.mark.parametrize("squares", [(2, -2), (2, -4, 6, -2)])
-@pytest.mark.parametrize("degree", [2, 3, 4])
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
 def test_projection_matches_oracle(squares, degree):
     rng = random.Random(hash((squares, degree, "pi")) & 0xFFFF)
     space = diag_space(squares)
@@ -268,3 +272,144 @@ def test_inhomogeneous_rejected():
     ctx = GeneratorContext(sp, (sp.alpha(), sp.beta()))
     with pytest.raises(DomainError):
         ReducedSymElement(ctx, {(0, (0,)): Q(1), (0, (0, 1)): Q(1)})
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against their Fraction forms (tests/oracle_reduced.py):
+# Delta by pairs of slots, powers by repeated products, products of
+# Fractions, the projection recurrence in Fractions
+
+_REAL_SPACES = (("HilbK3", 2), ("Kum", 2), ("HilbK3", 3))
+_small_q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _spaces(draw):
+    if draw(st.booleans()):
+        return make_space(*draw(st.sampled_from(_REAL_SPACES)))
+    squares = draw(st.lists(st.sampled_from((-6, -4, -2, 2, 4)), min_size=1, max_size=4))
+    return diag_space(tuple(squares))
+
+
+@st.composite
+def _generator(draw, space, previous):
+    """A rational, an isotropic or a repeated generator."""
+    kind = draw(st.sampled_from(("rational", "isotropic", "repeated")))
+    rank = space.h2.rank
+    if kind == "repeated" and previous:
+        return draw(st.sampled_from(previous))
+    v = [draw(_small_q) if i < 4 else Q(0) for i in range(rank)]
+    if kind == "isotropic":
+        # (r alpha + v + s beta)^2 = (v, v) - 2 r s
+        r = draw(st.sampled_from((Q(1), Q(2), Q(-1, 2))))
+        g = LLVVector.make(r, v, space.h2.pair(v, v) / (2 * r))
+        assert space.pair(g, g) == 0
+        return g
+    return LLVVector.make(draw(_small_q), v, draw(_small_q))
+
+
+@st.composite
+def _contexts(draw, max_gens=4):
+    space = draw(_spaces())
+    gens = []
+    for _ in range(draw(st.integers(1, max_gens))):
+        gens.append(draw(_generator(space, gens)))
+    return GeneratorContext(space, tuple(gens))
+
+
+@st.composite
+def _elements(draw, ctx, degree):
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        j = draw(st.integers(0, degree // 2))
+        mono = tuple(sorted(draw(st.lists(st.integers(0, len(ctx.gens) - 1),
+                                          min_size=degree - 2 * j,
+                                          max_size=degree - 2 * j))))
+        c = draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
+        if c:
+            terms[(j, mono)] = c
+    return ReducedSymElement(ctx, terms)
+
+
+@st.composite
+def _context_and_element(draw, max_degree=7):
+    ctx = draw(_contexts())
+    return ctx, draw(_elements(ctx, draw(st.integers(0, max_degree))))
+
+
+_KERNEL_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None,
+                            database=None,
+                            suppress_health_check=[HealthCheck.too_slow])
+
+
+@_KERNEL_SETTINGS
+@given(_context_and_element())
+def test_delta_kernel_matches_pairwise(case):
+    ctx, x = case
+    assert delta_apply(x).terms == oracle_reduced.delta(ctx, x.terms)
+
+
+@_KERNEL_SETTINGS
+@given(_context_and_element())
+def test_projection_kernel_matches_fraction_recurrence(case):
+    ctx, x = case
+    assert project_harmonic(x).terms == oracle_reduced.project_harmonic(ctx, x.terms)
+
+
+@_KERNEL_SETTINGS
+@given(st.data())
+def test_product_kernel_matches_fractions(data):
+    ctx = data.draw(_contexts())
+    x = data.draw(_elements(ctx, data.draw(st.integers(0, 4))))
+    y = data.draw(_elements(ctx, data.draw(st.integers(0, 3))))
+    assert (x * y).terms == oracle_reduced.mul(x.terms, y.terms)
+
+
+@_KERNEL_SETTINGS
+@given(st.data())
+def test_power_kernel_matches_repeated_products(data):
+    ctx = data.draw(_contexts())
+    k = data.draw(st.integers(0, 7))
+    lin = data.draw(_elements(ctx, 1))  # the multinomial path (or zero)
+    assert lin.power(k).terms == oracle_reduced.power(lin.terms, k)
+    x = data.draw(_elements(ctx, 2))  # repeated products
+    k = data.draw(st.integers(0, 3))
+    assert x.power(k).terms == oracle_reduced.power(x.terms, k)
+
+
+@_KERNEL_SETTINGS
+@given(_contexts(max_gens=5))
+def test_integer_gram_is_the_pairing(ctx):
+    sp, gens = ctx.space, ctx.gens
+    assert ctx.gram_g == tuple(tuple(sp.pair(a, b) for b in gens) for a in gens)
+    assert all(type(p) is Q for row in ctx.gram_g for p in row)
+    assert ctx == GeneratorContext(sp, gens)
+
+
+def test_qt_crossing_closed_form_is_the_sum():
+    for n_amb in (1, 2, 5, 7, 24, 25, 26):
+        for i in range(0, 9):
+            for d in range(0, 11):
+                assert _qt_crossing(i, d, n_amb) == oracle_reduced.qt_crossing(i, d, n_amb)
+
+
+def test_projection_certificates_raise_certificate_error(monkeypatch):
+    # the recurrence's coefficients and Delta cross qt by the same rule; a
+    # wrong crossing coefficient leaves Delta(Pi(x)) != 0, and a zero one
+    # makes the system singular, and both are internal faults
+    sp = make_space("HilbK3", 2)
+    ctx = GeneratorContext(sp, (sp.alpha() + sp.beta(), sp.beta()))
+    x = ReducedSymElement.monomial(ctx, (0, 0, 1))
+    real = harmonic._qt_crossing
+    monkeypatch.setattr(harmonic, "_qt_crossing", lambda i, d, n: real(i, d, n) + 1)
+    with pytest.raises(CertificateError, match="Delta"):
+        project_harmonic(x)
+    monkeypatch.setattr(harmonic, "_qt_crossing", lambda i, d, n: Q(0))
+    with pytest.raises(CertificateError, match="nonsingular"):
+        project_harmonic(x)
+
+
+def test_context_refuses_generators_of_another_space():
+    sp, kum = make_space("HilbK3", 2), make_space("Kum", 2)
+    with pytest.raises(DomainError, match="vector of length 9 in rank 25 lattice"):
+        GeneratorContext(sp, (sp.alpha(), kum.alpha()))

@@ -128,6 +128,23 @@ def test_divisibility_rejects():
         lat.divisibility((Q(1, 2), 0))
 
 
+def test_integral_reader_takes_ints_and_integral_fractions():
+    # divisibility and primitivity read ints as they are, and any other
+    # entry through Fraction; the refusals keep their wording
+    lat = make_lattice("U")
+    for x in ((2, 4), (Q(2), 4), ("2", Q(4, 1)), (True, 0)):
+        assert lat.divisibility(x) == gcd(*(int(Q(c)) for c in x))
+        assert lat.is_primitive(x) == (gcd(*(int(Q(c)) for c in x)) == 1)
+    with pytest.raises(DomainError, match="vector of length 3 in rank 2 lattice"):
+        lat.divisibility((1, 2, 3))
+    with pytest.raises(DomainError, match="vector of length 1 in rank 2 lattice"):
+        lat.is_primitive((Q(1, 2),))
+    with pytest.raises(DomainError, match="primitivity is defined for integral"):
+        lat.is_primitive((1, "1/3"))
+    with pytest.raises(DomainError, match="divisibility of the zero vector"):
+        lat.divisibility((Q(0), 0))
+
+
 def test_fujiki_integral():
     sp = make_space("HilbK3", 2)
     lam = (1, 3) + (0,) * 21  # square 6
